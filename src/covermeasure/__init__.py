@@ -5,6 +5,7 @@ counting asymptotics, and hyperbolic pants geometry."""
 from .asymptotics import (
     CountingModel,
     SeriesDivergenceError,
+    SyntheticEnsemble,
     SyntheticSubgroup,
     UnsupportedRankError,
     crit_box_asymptotic,

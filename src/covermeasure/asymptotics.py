@@ -18,7 +18,13 @@ import numpy as np
 
 from . import functionals
 from .graphs import TrivalentGraph, automorphism_group, enumerate_trivalent
-from .measure import MetricGraph, build_limit_measure, expectation
+from .measure import (
+    _FLOAT_VOLUME_TOL,
+    MetricGraph,
+    _draw_rows,
+    build_limit_measure,
+    expectation,
+)
 
 
 class SeriesDivergenceError(ValueError):
@@ -182,13 +188,125 @@ def ps_model_closed_form(model: CountingModel, s: float) -> float:
 # synthetic ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticSubgroup:
-    length: float
-    marker: MetricGraph
-
-
 ENSEMBLE_MODES = ("exact-marker", "lattice-marker")
+
+
+class SyntheticSubgroup:
+    """One point of a synthetic ensemble: its length and its marker, the
+    metric graph drawn for it.  The marker is built from the ensemble's
+    arrays on first access, so iterating over lengths stays cheap."""
+
+    __slots__ = ("length", "_ensemble", "_index", "_marker")
+
+    def __init__(self, ensemble: "SyntheticEnsemble", index: int):
+        self.length = float(ensemble.lengths[index])
+        self._ensemble = ensemble
+        self._index = index
+        self._marker = None
+
+    @property
+    def marker(self) -> MetricGraph:
+        if self._marker is None:
+            self._marker = self._ensemble.marker(self._index)
+        return self._marker
+
+
+@dataclass(frozen=True, eq=False)
+class SyntheticEnsemble:
+    """A synthetic length/marker ensemble held as arrays, one entry per
+    point in order of increasing length.
+
+    Point i has length ``lengths[i]`` and a marker on graph
+    ``graphs[blocks[i]]`` given by ``rows[i]``: positive float edge lengths
+    summing to one (exact markers; ``resolution`` is None), or positive
+    integer edge counts summing to ``resolution[i]`` (lattice markers, with
+    edge lengths ``rows[i] / resolution[i]``).  ``cap_reached`` is true when
+    the point cap, not the length bound, stopped the arrival process.
+
+    Indexing and iteration yield SyntheticSubgroup points; a slice gives a
+    list of them.
+    """
+
+    lengths: np.ndarray
+    blocks: np.ndarray
+    rows: np.ndarray
+    resolution: np.ndarray | None
+    graphs: tuple[TrivalentGraph, ...]
+    cap_reached: bool
+
+    def __post_init__(self):
+        for arr in (self.lengths, self.blocks, self.rows, self.resolution):
+            if arr is not None:
+                arr.flags.writeable = False
+        rows = self.rows
+        if self.resolution is None:
+            if not (np.all(rows > 0)
+                    and np.all(np.abs(rows.sum(axis=1) - 1.0) <= _FLOAT_VOLUME_TOL)):
+                raise ValueError("marker lengths must be positive and sum to 1")
+        elif not (np.all(rows > 0)
+                  and np.array_equal(rows.sum(axis=1), self.resolution)):
+            raise ValueError("marker counts must be positive and sum to the resolution")
+
+    @property
+    def effective_lmax(self) -> float:
+        """The largest length kept (0 for an empty ensemble)."""
+        return float(self.lengths.max(initial=0.0))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [SyntheticSubgroup(self, i) for i in range(len(self))[index]]
+        return SyntheticSubgroup(self, range(len(self))[index])
+
+    def __iter__(self):
+        return (SyntheticSubgroup(self, i) for i in range(len(self)))
+
+    def marker(self, i: int) -> MetricGraph:
+        """The marker of point i, with Fraction lengths for lattice markers."""
+        graph = self.graphs[self.blocks[i]]
+        if self.resolution is None:
+            return MetricGraph(graph, tuple(float(x) for x in self.rows[i]))
+        n = int(self.resolution[i])
+        return MetricGraph(graph, tuple(Fraction(int(c), n) for c in self.rows[i]))
+
+    def values(self, f) -> np.ndarray:
+        """f at every point, as floats.
+
+        Lattice markers take the minimum of f's linear forms over the
+        integer counts and divide once by the resolution, which gives
+        float(f.scalar(marker)) exactly; exact markers use f's vectorized
+        kernel.  Anything else runs per point on the markers.
+        """
+        if not isinstance(f, functionals.Functional) or (
+                self.resolution is None and f.kernel is None):
+            return np.array(_pointwise(self, f), dtype=float)
+        out = np.empty(len(self))
+        for b in np.unique(self.blocks):
+            mask = self.blocks == b
+            graph = self.graphs[b]
+            if self.resolution is None:
+                out[mask] = f.kernel(graph, self.rows[mask])
+            else:
+                out[mask] = _min_form_ratio(f.forms_for(graph), self.rows[mask],
+                                            self.resolution[mask])
+        return out
+
+
+def _pointwise(points, f) -> list[float]:
+    fn = f.scalar if isinstance(f, functionals.Functional) else f
+    return [float(fn(p.marker)) for p in points]
+
+
+def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
+    """min over the rational forms of form . counts / resolution, per row,
+    correctly rounded to float."""
+    den = math.lcm(*(Fraction(c).denominator for form in forms for c in form))
+    mat = np.array([[int(c * den) for c in form] for form in forms], dtype=float)
+    # integer entries and small counts: every product and sum is exact in
+    # float64, and one division rounds the exact ratio correctly
+    return (counts @ mat.T).min(axis=1) / (den * resolution)
 
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,
@@ -206,21 +324,14 @@ def _invert_count_function(model: CountingModel, log_targets: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _uniform_positive_composition(rng, total: int, parts: int) -> tuple[int, ...]:
-    if parts == 1:
-        return (total,)
-    cuts = np.sort(rng.choice(total - 1, size=parts - 1, replace=False)) + 1
-    bounds = np.concatenate(([0], cuts, [total]))
-    return tuple(int(x) for x in np.diff(bounds))
-
-
 def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
-                        seed: int, cap: int = 100_000) -> list[SyntheticSubgroup]:
+                        seed: int, cap: int = 100_000) -> SyntheticEnsemble:
     """Draw a synthetic length/marker ensemble.
 
     Lengths follow a Poisson process with intensity N'(t) on (0, l_max],
     truncated to at most ``cap`` points from below (the process is stopped
-    once the cap is reached).  Markers are drawn per point: exact-marker
+    once the cap is reached; the result's ``cap_reached`` and
+    ``effective_lmax`` say so).  Markers are drawn per point: exact-marker
     mode samples the limit measure itself; lattice-marker mode samples the
     lattice discretization at resolution N = max(ceil(length), E), which
     carries a coarseness bias that fades as the length grows.
@@ -250,51 +361,61 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
             break
     targets = np.log(np.asarray(arrivals))
     lengths = _invert_count_function(model, targets, l_max)
+    n = len(lengths)
 
     mixture = build_limit_measure(model.rank)
     cum = np.cumsum([float(w) for w in mixture.weights])
     block_idx = np.minimum(
-        np.searchsorted(cum, rng.random(len(lengths)), side="right"),
+        np.searchsorted(cum, rng.random(n), side="right"),
         len(mixture.blocks) - 1,
     )
     n_edges = mixture.blocks[0].graph.num_edges
 
-    out = []
     if mode == "exact-marker":
-        exps = rng.standard_exponential((len(lengths), n_edges))
-        rows = exps / exps.sum(axis=1, keepdims=True)
-        for l, b, row in zip(lengths, block_idx, rows):
-            marker = MetricGraph(mixture.blocks[int(b)].graph,
-                                 tuple(float(x) for x in row))
-            out.append(SyntheticSubgroup(length=float(l), marker=marker))
+        rows, resolution = _draw_rows(rng, n, n_edges), None
     else:
-        for l, b in zip(lengths, block_idx):
-            resolution = max(math.ceil(l), n_edges)
-            point = _uniform_positive_composition(rng, resolution, n_edges)
-            marker = MetricGraph(
-                mixture.blocks[int(b)].graph,
-                tuple(Fraction(c, resolution) for c in point),
-            )
-            out.append(SyntheticSubgroup(length=float(l), marker=marker))
-    return out
+        # a uniform positive composition of N into E parts per point: E - 1
+        # distinct cuts in 1..N-1, one draw per point to keep the stream
+        resolution = np.maximum(np.ceil(lengths), n_edges).astype(np.int64)
+        cuts = np.empty((n, n_edges - 1), dtype=np.int64)
+        for i, res in enumerate(resolution.tolist()):
+            cuts[i] = rng.choice(res - 1, size=n_edges - 1, replace=False)
+        cuts.sort(axis=1)
+        bounds = np.concatenate(
+            (np.zeros((n, 1), dtype=np.int64), cuts + 1, resolution[:, None]), axis=1)
+        rows = np.diff(bounds, axis=1)
+    return SyntheticEnsemble(
+        lengths=lengths, blocks=block_idx, rows=rows, resolution=resolution,
+        graphs=tuple(b.graph for b in mixture.blocks),
+        cap_reached=len(arrivals) >= cap,
+    )
 
 
 def ps_measure_expectation(ensemble, f, s: float) -> float:
     """Expectation of f under the e^(-s length)-weighted probability measure
-    over the ensemble."""
+    over the ensemble (a SyntheticEnsemble, or any sequence of points with a
+    length and a marker).
+
+    The weighted sum runs left to right over Python floats, in point order.
+    """
     if s <= 1:
         raise SeriesDivergenceError(
             f"the weighted measure needs s > 1, got s = {s}"
         )
     if not ensemble:
         raise ValueError("ensemble is empty")
-    fn = f.scalar if isinstance(f, functionals.Functional) else f
-    lmin = min(p.length for p in ensemble)
+    if isinstance(ensemble, SyntheticEnsemble):
+        lengths = ensemble.lengths.tolist()
+        values = ensemble.values(f).tolist()
+    else:
+        lengths = [p.length for p in ensemble]
+        values = _pointwise(ensemble, f)
+    lmin = min(lengths)
     num = 0.0
     den = 0.0
-    for p in ensemble:
-        w = math.exp(-s * (p.length - lmin))
-        num += w * float(fn(p.marker))
+    for l, v in zip(lengths, values):
+        w = math.exp(-s * (l - lmin))
+        num += w * v
         den += w
     return num / den
 

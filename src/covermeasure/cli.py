@@ -249,10 +249,15 @@ def _cmd_ps_converge(args):
         err = abs(est - float(exact))
         records.append({"s": s, "estimate": est, "abs_error": err})
         lines.append(f"s={s}: estimate {est:.6f}, |error| {err:.6f}")
+    if ensemble.cap_reached:
+        args.warn(f"the ensemble cap {args.cap} stopped the length process at "
+                  f"{ensemble.effective_lmax:.6g}, short of Lmax {args.Lmax:g}")
     params = {
         "genus": args.genus, "rank": args.rank, "Lmax": args.Lmax,
         "seed": args.seed, "mode": args.mode, "cap": args.cap,
         "ensemble_size": len(ensemble),
+        "effective_lmax": ensemble.effective_lmax,
+        "cap_reached": ensemble.cap_reached,
         **_rational_fields(exact, prefix="target_"),
     }
     return params, records, lines
@@ -388,6 +393,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.warn = lambda message: print(f"covermeasure: warning: {message}", file=stderr)
     try:
         params, records, lines = args.handler(args)
     except (graphs.InvalidRankError, graphs.InvalidGraphError,

@@ -101,13 +101,6 @@ class TrivalentGraph:
             groups[v].append(d)
         return tuple(tuple(g) for g in groups)
 
-    def multiplicity(self, u: int, v: int) -> int:
-        u, v = min(u, v), max(u, v)
-        return sum(1 for e in self.edges if e == (u, v))
-
-    def loops_at(self, v: int) -> int:
-        return sum(1 for e in self.edges if e == (v, v))
-
     def canonical_form(self) -> bytes:
         return canonical_form(self)
 
@@ -280,11 +273,15 @@ def _candidate_edge_lists(n):
 
 
 def max_enumeration_rank() -> int:
+    """The rank cap from COVERMEASURE_MAX_RANK, or the default when unset."""
     raw = os.environ.get(_MAX_RANK_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_RANK
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_RANK
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidRankError(
+            f"{_MAX_RANK_ENV} must be an integer, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)

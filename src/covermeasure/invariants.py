@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import InvalidGraphError, bridges_of_edges
+from .graphs import InvalidGraphError, _is_connected, bridges_of_edges
 
 
 class InfeasibleGeometryError(ValueError):
@@ -55,7 +55,7 @@ def systole_from_lengths(edges: Sequence[tuple[int, int]], lengths: Sequence):
     if any(l <= 0 for l in lengths):
         raise InvalidGraphError("edge lengths must be positive")
     n = max(max(u, v) for u, v in edges) + 1
-    if not _connected_for_systole(edges, n):
+    if not _is_connected(edges, n):
         raise InvalidGraphError("systole requires a connected graph")
     adj = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
@@ -77,23 +77,6 @@ def systole_from_lengths(edges: Sequence[tuple[int, int]], lengths: Sequence):
     if best is None:
         raise InvalidGraphError("graph has no cycle")
     return best
-
-
-def _connected_for_systole(edges, n):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
 
 
 def systole(mg):

@@ -1,5 +1,7 @@
 """Counting constants, exponent-weighted sums, and synthetic ensembles."""
 
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from covermeasure import asymptotics as A
+from covermeasure import cli
 from covermeasure import functionals as FN
 from covermeasure import graphs as G
 
@@ -311,6 +314,104 @@ def test_ps_measure_validation():
         A.ps_measure_expectation(ens, FN.SYSTOLE, 1.0)
     with pytest.raises(ValueError):
         A.ps_measure_expectation([], FN.SYSTOLE, 1.5)
+
+
+def _sequential_reference(points, f, s):
+    """The weighted expectation point by point: exact Fraction evaluation of
+    f.scalar on each marker, then the sum in point order."""
+    lmin = min(p.length for p in points)
+    num = den = 0.0
+    for p in points:
+        w = math.exp(-s * (p.length - lmin))
+        num += w * float(f.scalar(p.marker))
+        den += w
+    return num / den
+
+
+@pytest.mark.parametrize("rank, seed, cap", [(2, 11, 3000), (3, 12, 1500)])
+def test_ps_measure_lattice_matches_scalar_route_exactly(rank, seed, cap):
+    model = A.CountingModel(genus=2, rank=rank)
+    ens = A.synthesize_ensemble(model, 11.0, "lattice-marker", seed=seed, cap=cap)
+    points = list(ens)
+    for f in (FN.SYSTOLE, FN.MINEDGE, FN.BRIDGE):
+        for s in (1.5, 1.1, 1.02):
+            assert A.ps_measure_expectation(ens, f, s) \
+                == _sequential_reference(points, f, s)
+    # a plain list of points takes the per-point route
+    assert A.ps_measure_expectation(points, FN.SYSTOLE, 1.1) \
+        == _sequential_reference(points, FN.SYSTOLE, 1.1)
+
+
+def test_ps_measure_exact_marker_rank3_matches_scalar_route():
+    # the kernel sums a cycle's edges in another order than the shortest
+    # path search, so agreement is to rounding, not bit for bit
+    model = A.CountingModel(genus=2, rank=3)
+    ens = A.synthesize_ensemble(model, 11.0, "exact-marker", seed=13, cap=1500)
+    for s in (1.5, 1.02):
+        assert A.ps_measure_expectation(ens, FN.SYSTOLE, s) == pytest.approx(
+            _sequential_reference(list(ens), FN.SYSTOLE, s), rel=1e-14, abs=0)
+
+
+def test_ensemble_arrays_and_points_agree():
+    model = A.CountingModel(genus=2, rank=2)
+    ens = A.synthesize_ensemble(model, 10.0, "lattice-marker", seed=5, cap=400)
+    assert len(ens) == 400 and ens.cap_reached
+    assert ens.effective_lmax == max(p.length for p in ens) == ens[-1].length
+    assert ens.effective_lmax < 10.0
+    assert [p.length for p in ens[10:13]] == ens.lengths[10:13].tolist()
+    point = ens[7]
+    n = int(ens.resolution[7])
+    assert point.marker.graph == ens.graphs[ens.blocks[7]]
+    assert point.marker.lengths == tuple(F(int(c), n) for c in ens.rows[7])
+    with pytest.raises(IndexError):
+        ens[400]
+    with pytest.raises(ValueError):
+        ens.lengths[0] = 1.0
+    # the length bound, not the cap, stops a short process
+    full = A.synthesize_ensemble(model, 8.0, "exact-marker", seed=5)
+    assert not full.cap_reached and full.effective_lmax <= 8.0
+    assert full.resolution is None
+    assert isinstance(full[0].marker.lengths[0], float)
+
+
+# the parent of the array-backed ensemble printed these estimates; lattice
+# markers keep them bit for bit
+PINNED_PS_CONVERGE = [
+    (["--rank", "2", "--Lmax", "9", "--seed", "2", "--s-list", "1.4,1.1",
+      "--cap", "300"],
+     [0.3115532007519117, 0.3080502860268868], 7.096854919475694),
+    (["--rank", "3", "--Lmax", "10", "--seed", "5", "--s-list", "1.5,1.1",
+      "--cap", "500"],
+     [0.21388119690336735, 0.2120611052239054], 8.015923380307719),
+]
+
+
+@pytest.mark.parametrize("argv, estimates, effective_lmax", PINNED_PS_CONVERGE)
+def test_ps_converge_pinned_estimates(argv, estimates, effective_lmax):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["ps", "converge", "--genus", "2", *argv], stdout=out, stderr=err)
+    assert code == 0
+    envelope = json.loads(out.getvalue())
+    assert [r["estimate"] for r in envelope["records"]] == estimates
+    params = envelope["params"]
+    assert params["ensemble_size"] == params["cap"]
+    assert params["cap_reached"] is True
+    assert params["effective_lmax"] == effective_lmax
+    assert err.getvalue() == (
+        f"covermeasure: warning: the ensemble cap {params['cap']} stopped the "
+        f"length process at {effective_lmax:.6g}, short of Lmax "
+        f"{params['Lmax']:g}\n")
+
+
+def test_ps_converge_no_warning_below_cap():
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "8",
+                    "--seed", "0", "--s-list", "1.5"], stdout=out, stderr=err)
+    assert code == 0 and err.getvalue() == ""
+    params = json.loads(out.getvalue())["params"]
+    assert params["cap_reached"] is False
+    assert params["ensemble_size"] < params["cap"]
+    assert params["effective_lmax"] <= 8.0
 
 
 # --- expected systole line ---------------------------------------------------------------

@@ -156,6 +156,12 @@ def test_rank_cap_env(monkeypatch):
     assert len(G.enumerate_trivalent(3)) == 5
 
 
+def test_rank_cap_env_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("COVERMEASURE_MAX_RANK", "abc")
+    with pytest.raises(G.InvalidRankError, match="COVERMEASURE_MAX_RANK.*'abc'"):
+        G.enumerate_trivalent(2)
+
+
 # --- automorphism groups -----------------------------------------------------
 
 def test_dumbbell_symmetries():

@@ -51,6 +51,7 @@ from .invariants import (
 )
 from .measure import (
     EmpiricalMeasure,
+    ExactWorkLimitError,
     InvalidSampleCountError,
     MeasureMixture,
     MetricGraph,

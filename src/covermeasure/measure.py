@@ -8,10 +8,10 @@ floating point enters only in Monte Carlo sampling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,10 @@ class InvalidSampleCountError(ValueError):
 
 
 class SymmetryViolationError(ValueError):
+    pass
+
+
+class ExactWorkLimitError(ValueError):
     pass
 
 
@@ -242,13 +246,11 @@ def _positive_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _nonnegative_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(0, total + 1):
-        for rest in _nonnegative_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _permuters(graph: TrivalentGraph) -> list[Callable]:
+    """One map per element of the edge action, taking a vector to its image
+    (entry i moves to perm[i])."""
+    return [itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
+            for perm in edge_action(graph)]
 
 
 def lattice_points(graph: TrivalentGraph, n_slices: int
@@ -263,18 +265,13 @@ def lattice_points(graph: TrivalentGraph, n_slices: int
     n_edges = graph.num_edges
     if n_slices < n_edges:
         return []
-    perms = edge_action(graph)
+    permuters = _permuters(graph)
     seen: set[tuple[int, ...]] = set()
     out = []
     for point in _positive_compositions(n_slices, n_edges):
         if point in seen:
             continue
-        orbit = set()
-        for perm in perms:
-            img = [0] * n_edges
-            for i, p in enumerate(perm):
-                img[p] = point[i]
-            orbit.add(tuple(img))
+        orbit = {permute(point) for permute in permuters}
         seen |= orbit
         out.append((min(orbit), len(orbit)))
     out.sort()
@@ -308,8 +305,9 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
     if n_norm == 0:
         return total, 0
     hits = 0
-    for point in _nonnegative_compositions(n_norm, n_edges):
-        if predicate(tuple(Fraction(c, n_norm) for c in point)):
+    # nonnegative compositions of N are positive ones of N + E, less one each
+    for point in _positive_compositions(n_norm + n_edges, n_edges):
+        if predicate(tuple(Fraction(c - 1, n_norm) for c in point)):
             hits += 1
     return total, hits
 
@@ -318,99 +316,190 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
 # exact integration of min-of-linear-forms functionals
 # ---------------------------------------------------------------------------
 
+# Work allowed to one integrate_exact call, counted as the cell rays created
+# plus the simplices integrated.  The largest rank-4 type needs 4535; the
+# rank-5 types need up to 2.6e5 simplices each, minutes for the whole rank.
+EXACT_WORK_LIMIT = 20_000
+
+
 def _dot(coeffs, vec):
     return sum(c * x for c, x in zip(coeffs, vec))
 
 
-def _rel_volume(vertices) -> Fraction:
-    """Simplex volume relative to the standard simplex, via the determinant
-    of edge vectors after dropping the last coordinate."""
-    d = len(vertices) - 1
-    mat = [[vertices[i + 1][j] - vertices[0][j] for j in range(d)]
-           for i in range(d)]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = mat[col][col]
-        for r in range(col + 1, d):
-            factor = mat[r][col] / inv
-            if factor:
-                for c in range(col, d):
-                    mat[r][c] -= factor * mat[col][c]
-    return abs(det)
+class _WorkMeter:
+    """Counts the work of one integrate_exact call against EXACT_WORK_LIMIT."""
+
+    def __init__(self, graph: TrivalentGraph):
+        self.graph = graph
+        self.count = 0
+
+    def add(self, amount: int = 1) -> None:
+        self.count += amount
+        if self.count > EXACT_WORK_LIMIT:
+            raise ExactWorkLimitError(
+                f"exact integration of graph {self.graph.canonical_id()} "
+                f"stopped at {self.count} rays and simplices, over the work "
+                f"limit of {EXACT_WORK_LIMIT}"
+            )
 
 
-def _split_simplex(vertices, hyper):
-    """Cut a simplex along hyper(x) = 0 into simplices on one closed side each."""
-    vals = [_dot(hyper, w) for w in vertices]
-    pos = next((i for i, v in enumerate(vals) if v > 0), None)
-    neg = next((i for i, v in enumerate(vals) if v < 0), None)
-    if pos is None or neg is None:
-        return [vertices]
-    va, vb = vals[pos], vals[neg]
-    cut = tuple((va * wb - vb * wa) / (va - vb)
-                for wa, wb in zip(vertices[pos], vertices[neg]))
-    left = list(vertices)
-    left[pos] = cut
-    right = list(vertices)
-    right[neg] = cut
-    return _split_simplex(tuple(left), hyper) + _split_simplex(tuple(right), hyper)
+def _integer_form(form) -> tuple[tuple[int, ...], int]:
+    """(m, d) with form = m / d, m integral and d > 0."""
+    d = lcm(*(c.denominator for c in form))
+    return tuple(int(c * d) for c in form), d
 
 
-def _min_forms_expectation(forms, n_coords: int) -> Fraction:
-    """E[min_i L_i(x)] for x uniform on the standard simplex, exactly.
+def _bit_indices(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Subdivide until one form is minimal per cell (dominated forms dropped
-    first), then use: integral of a linear form over a simplex equals
-    volume times the mean of its vertex values.
+
+def _rays_tight_on(tight, n_constraints: int) -> list[int]:
+    """Per constraint, the bit mask of the rays whose tight set holds it."""
+    masks = [0] * n_constraints
+    for i, t in enumerate(tight):
+        for c in _bit_indices(t):
+            masks[c] |= 1 << i
+    return masks
+
+
+def _cell_rays(constraints, n: int, meter: _WorkMeter):
+    """Extreme rays of the cone {y >= 0, h.y <= 0 for h in constraints} by
+    double description, or None when the cone has measure zero.
+
+    Rays are primitive integer vectors.  Constraint j < n is y_j >= 0 and
+    constraint n + k is constraints[k]; each ray comes with the bit mask of
+    the constraints tight on it.  Two rays are adjacent when no third ray
+    is tight on every constraint tight on both (Fukuda and Prodon, 1996).
     """
-    forms = tuple(dict.fromkeys(tuple(Fraction(c) for c in f) for f in forms))
-    start = tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n_coords))
-        for i in range(n_coords)
-    )
-    total = Fraction(0)
-    stack = [(start, forms)]
-    while stack:
-        verts, fs = stack.pop()
-        vals = [[_dot(f, w) for w in verts] for f in fs]
-        keep = []
-        for i in range(len(fs)):
-            dominated = False
-            for j in range(len(fs)):
-                if i == j:
-                    continue
-                if all(a >= b for a, b in zip(vals[i], vals[j])):
-                    if any(a > b for a, b in zip(vals[i], vals[j])) or j < i:
-                        dominated = True
-                        break
-            if not dominated:
-                keep.append(i)
-        fs = tuple(fs[i] for i in keep)
-        vals = [vals[i] for i in keep]
-        hyper = None
-        for i, j in itertools.combinations(range(len(fs)), 2):
-            dv = [a - b for a, b in zip(vals[i], vals[j])]
-            if any(v > 0 for v in dv) and any(v < 0 for v in dv):
-                hyper = tuple(a - b for a, b in zip(fs[i], fs[j]))
-                break
-        if hyper is None:
-            bary = tuple(sum(w[j] for w in verts) / len(verts)
-                         for j in range(n_coords))
-            fmin = min(fs, key=lambda f: _dot(f, bary))
-            vol = _rel_volume(verts)
-            if vol:
-                total += vol * sum(_dot(fmin, w) for w in verts) / len(verts)
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    tight = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for k, h in enumerate(constraints):
+        bit = 1 << (n + k)
+        vals = [_dot(h, r) for r in rays]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            # Full dimension survives a cut that keeps an interior point;
+            # without one the cone lies in the hyperplane h.y = 0.
+            return None
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        new_rays, new_tight = [], []
+        if pos:
+            rays_on = _rays_tight_on(tight, n + k)
+            everyone = (1 << len(rays)) - 1
+            for p in pos:
+                for q in neg:
+                    common = tight[p] & tight[q]
+                    if common.bit_count() < n - 2:
+                        continue
+                    pair = (1 << p) | (1 << q)
+                    shared = everyone
+                    for c in _bit_indices(common):
+                        shared &= rays_on[c]
+                        if shared == pair:
+                            break
+                    if shared != pair:
+                        continue
+                    a, b = vals[p], vals[q]
+                    ray = [a * y - b * x for x, y in zip(rays[p], rays[q])]
+                    g = gcd(*ray)
+                    new_rays.append(tuple(v // g for v in ray))
+                    new_tight.append(common | bit)
+            meter.add(len(new_rays))
+        keep = [i for i, v in enumerate(vals) if v <= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + new_tight
+    return rays, tight
+
+
+def _pulling_simplices(face: int, dim: int, facet_masks):
+    """Yield the simplices of a pulling triangulation of a cone face.
+
+    A face is the bit mask of its rays; facet_masks holds, per constraint,
+    the mask of the rays tight on it.  The facets of a face are the maximal
+    proper subsets face & m.  The face's lowest ray is pulled: it is joined
+    to a triangulation of every facet that misses it.
+    """
+    if face.bit_count() == dim:
+        yield face
+        return
+    apex = face & -face
+    subs = {face & m for m in facet_masks}
+    subs.discard(face)
+    for sub in subs:
+        if sub & apex or any(sub != o and sub & o == sub for o in subs):
             continue
-        for piece in _split_simplex(verts, hyper):
-            stack.append((piece, fs))
-    return total
+        for simplex in _pulling_simplices(sub, dim - 1, facet_masks):
+            yield simplex | apex
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _cell_integral(rep, others, n: int, meter: _WorkMeter) -> Fraction:
+    """Integral of rep over {x in the simplex : rep(x) <= L(x) for all L in
+    others}, relative to the simplex volume.
+
+    A simplicial cone with integer generators v_i and coordinate sums s_i
+    meets the simplex in relative volume |det V| / prod s_i, and a linear
+    form averages to (1/n) sum L(v_i) / s_i over it.
+    """
+    lrep, drep = _integer_form(rep)
+    constraints = []
+    for form in others:
+        lj, dj = _integer_form(form)
+        constraints.append(tuple(dj * a - drep * b for a, b in zip(lrep, lj)))
+    cell = _cell_rays(constraints, n, meter)
+    if cell is None:
+        return Fraction(0)
+    rays, tight = cell
+    facet_masks = _rays_tight_on(tight, n + len(constraints))
+    sums = [sum(r) for r in rays]
+    values = [_dot(lrep, r) for r in rays]
+    total = Fraction(0)
+    for simplex in _pulling_simplices((1 << len(rays)) - 1, n, facet_masks):
+        meter.add()
+        idx = list(_bit_indices(simplex))
+        prod = 1
+        for i in idx:
+            prod *= sums[i]
+        num = sum(values[i] * (prod // sums[i]) for i in idx)
+        det = _bareiss_det([rays[i] for i in idx])
+        total += Fraction(abs(det) * num, prod * prod)
+    return total / (n * drep)
+
+
+def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
+    """The orbits of the forms' closure under the edge action."""
+    permuters = _permuters(graph)
+    seen: set[tuple] = set()
+    orbits = []
+    for form in dict.fromkeys(forms):
+        if form not in seen:
+            orbit = sorted({permute(form) for permute in permuters})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
 def _symmetry_test_points(n_coords: int):
@@ -447,7 +536,12 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     i.e. the integral against sigma_X divided by the block mass.
 
     The functional must be invariant under the edge action; this is
-    checked exactly on fixed sample points for every group element.
+    checked exactly on fixed sample points for every group element.  The
+    forms are closed under the edge action, which leaves the minimum
+    unchanged, and one cell per orbit is integrated: E[min L] is the sum
+    over orbits O of |O| times the integral of L_rep over the cell where
+    L_rep is minimal.  Raises ExactWorkLimitError when the cells need more
+    than EXACT_WORK_LIMIT rays and simplices.
     """
     forms = f.forms_for(graph) if isinstance(f, Functional) else tuple(f)
     if not forms:
@@ -456,7 +550,15 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     if any(len(form) != graph.num_edges for form in forms):
         raise ValueError("forms must have one coefficient per edge")
     _check_symmetry(graph, forms)
-    return _min_forms_expectation(forms, graph.num_edges)
+    orbits = _form_orbits(graph, forms)
+    closed = [form for orbit in orbits for form in orbit]
+    meter = _WorkMeter(graph)
+    total = Fraction(0)
+    for orbit in orbits:
+        rep = orbit[0]
+        others = [form for form in closed if form != rep]
+        total += len(orbit) * _cell_integral(rep, others, graph.num_edges, meter)
+    return total
 
 
 def quotient_integral(graph: TrivalentGraph, f) -> Fraction:

@@ -1,14 +1,18 @@
 """Exact simplex integration checked against a brute-force grid oracle.
 
 The oracle is a plain Riemann sum over the positive lattice points of a
-fixed mesh, written before and independently of the subdivision
+fixed mesh, written before and independently of the exact
 integrator; agreement is required within twice the mesh.
 """
 
+import io
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from covermeasure import cli
 from covermeasure import functionals as FN
 from covermeasure import graphs as G
 from covermeasure import measure as M
@@ -143,3 +147,83 @@ def test_malformed_forms_rejected():
         M.integrate_exact(G.theta_graph(), [])
     with pytest.raises(ValueError):
         M.integrate_exact(G.theta_graph(), [(F(1), F(1))])
+
+
+# --- pinned values at ranks 3 and 4 -----------------------------------------------
+
+# per type, in build_limit_measure(3) order, with the mixture value last
+RANK3_VALUES = {
+    "systole": ([F(539, 2700), F(157, 1350), F(97, 360), F(2, 27), F(1, 18)],
+                F(317, 2250)),
+    "minedge": ([F(1, 36)] * 5, F(1, 36)),
+    "bridge": ([F(0), F(1), F(0), F(1), F(1)], F(2, 3)),
+}
+
+RANK4_SYSTOLE = F(7870476811, 82232718750)
+
+
+@pytest.mark.parametrize("name", sorted(RANK3_VALUES))
+def test_rank3_values_pinned(name):
+    f = FN.get_functional(name)
+    per_type, mixed = RANK3_VALUES[name]
+    m3 = M.build_limit_measure(3)
+    assert [M.integrate_exact(b.graph, f) for b in m3.blocks] == per_type
+    assert M.expectation(m3, f) == mixed
+
+
+def test_forms_not_closed_under_edge_action():
+    # the loop swap adds bar + loop1; the minimum is the bar throughout
+    bar, bar_loop0 = (0, 0, 1), (1, 0, 1)
+    assert M.integrate_exact(G.dumbbell(), [bar, bar_loop0]) == F(1, 3)
+
+
+def test_cell_of_measure_zero():
+    # 2 * sum(x) is never the minimum, so its cell lies in no open region
+    assert M.integrate_exact(G.theta_graph(), [(1, 1, 1), (2, 2, 2)]) == 1
+
+
+def test_rank4_systole_exact_and_within_mc():
+    m4 = M.build_limit_measure(4)
+    assert M.expectation(m4, FN.SYSTOLE) == RANK4_SYSTOLE
+    mean, err = M.integrate_mc(m4, FN.SYSTOLE, 10**6, seed=0)
+    assert abs(mean - float(RANK4_SYSTOLE)) < 3 * err
+
+
+def test_rank4_types_within_kernel_mc():
+    rng = np.random.default_rng(4)
+    for block in M.build_limit_measure(4).blocks:
+        g = block.graph
+        vals = FN.SYSTOLE.kernel(g, M._draw_rows(rng, 200_000, g.num_edges))
+        err = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - float(M.integrate_exact(g, FN.SYSTOLE))) < 4 * err
+
+
+def test_ps_converge_rank4_has_exact_target():
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["ps", "converge", "--rank", "4", "--genus", "2",
+                    "--Lmax", "12", "--s-list", "1.5", "--cap", "1000"],
+                   stdout=out, stderr=err)
+    assert code == 0
+    params = json.loads(out.getvalue())["params"]
+    assert params["target_exact_numerator"] == RANK4_SYSTOLE.numerator
+    assert params["target_exact_denominator"] == RANK4_SYSTOLE.denominator
+
+
+# --- work limit -------------------------------------------------------------------
+
+def test_work_limit_raises(monkeypatch):
+    monkeypatch.setattr(M, "EXACT_WORK_LIMIT", 50)
+    k4 = G.complete_graph_k4()
+    with pytest.raises(M.ExactWorkLimitError, match=k4.canonical_id()) as info:
+        M.integrate_exact(k4, FN.SYSTOLE)
+    assert "limit of 50" in str(info.value)
+    assert isinstance(info.value, ValueError)
+
+
+def test_work_limit_reported_by_cli(monkeypatch):
+    monkeypatch.setattr(M, "EXACT_WORK_LIMIT", 50)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["expect", "--rank", "3", "--functional", "systole"]
+    assert cli.run(argv, stdout=out, stderr=err) == 1
+    assert err.getvalue().startswith("covermeasure: error: exact integration")
+    assert out.getvalue() == ""

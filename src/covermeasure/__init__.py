@@ -21,6 +21,7 @@ from .asymptotics import (
 )
 from .functionals import BRIDGE, FUNCTIONALS, MINEDGE, SYSTOLE, Functional, get_functional
 from .graphs import (
+    EnumerationCertificateError,
     GraphAutomorphism,
     InvalidGraphError,
     InvalidRankError,
@@ -32,6 +33,7 @@ from .graphs import (
     dumbbell,
     edge_action,
     enumerate_trivalent,
+    mass_formula,
     resolve_graph,
     simple_cycles,
     theta_graph,

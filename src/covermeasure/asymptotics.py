@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import functionals
-from .graphs import TrivalentGraph, automorphism_group, enumerate_trivalent
+from .graphs import TrivalentGraph, mass_formula
 from .measure import (
     _FLOAT_VOLUME_TOL,
     MetricGraph,
@@ -48,10 +48,7 @@ class CountingModel:
 
     @cached_property
     def sum_inv_aut(self) -> Fraction:
-        return sum(
-            Fraction(1, len(automorphism_group(g)))
-            for g in enumerate_trivalent(self.rank)
-        )
+        return mass_formula(self.rank)
 
     @cached_property
     def c_prime(self) -> float:

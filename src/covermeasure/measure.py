@@ -535,13 +535,14 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     """Normalized block expectation of a min-of-linear-forms functional,
     i.e. the integral against sigma_X divided by the block mass.
 
-    The functional must be invariant under the edge action; this is
-    checked exactly on fixed sample points for every group element.  The
-    forms are closed under the edge action, which leaves the minimum
-    unchanged, and one cell per orbit is integrated: E[min L] is the sum
-    over orbits O of |O| times the integral of L_rep over the cell where
-    L_rep is minimal.  Raises ExactWorkLimitError when the cells need more
-    than EXACT_WORK_LIMIT rays and simplices.
+    The functional must be invariant under the edge action.  A form set
+    closed under the action has an invariant minimum by construction; any
+    other set is checked exactly on fixed sample points for every group
+    element.  The forms are closed under the edge action, which leaves an
+    invariant minimum unchanged, and one cell per orbit is integrated:
+    E[min L] is the sum over orbits O of |O| times the integral of L_rep
+    over the cell where L_rep is minimal.  Raises ExactWorkLimitError when
+    the cells need more than EXACT_WORK_LIMIT rays and simplices.
     """
     forms = f.forms_for(graph) if isinstance(f, Functional) else tuple(f)
     if not forms:
@@ -549,9 +550,10 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     forms = tuple(tuple(Fraction(c) for c in form) for form in forms)
     if any(len(form) != graph.num_edges for form in forms):
         raise ValueError("forms must have one coefficient per edge")
-    _check_symmetry(graph, forms)
     orbits = _form_orbits(graph, forms)
     closed = [form for orbit in orbits for form in orbit]
+    if len(closed) > len(set(forms)):
+        _check_symmetry(graph, forms)
     meter = _WorkMeter(graph)
     total = Fraction(0)
     for orbit in orbits:

@@ -34,6 +34,11 @@ def test_model_constants_rank2_genus2():
     assert m.unit_tangent_volume == pytest.approx(8 * math.pi ** 2, rel=1e-15)
 
 
+def test_model_constant_needs_no_enumeration():
+    # rank 7 is above the default enumeration cap; the mass formula gives it
+    assert A.CountingModel(genus=2, rank=7).sum_inv_aut == F(19675, 96)
+
+
 def test_model_constant_against_high_precision():
     m = A.CountingModel(genus=2, rank=2)
     reference = float(m.c_high_precision(dps=60))

@@ -142,6 +142,25 @@ def test_bar_length_is_symmetric_on_dumbbell():
         M.integrate_exact(db, [(F(1), F(0), F(0))])  # one loop only
 
 
+def test_non_invariant_form_sets_rejected():
+    # neither set is closed under the edge action, and neither minimum is
+    # invariant: the loop swap moves min(loop0, bar), an edge swap of the
+    # theta moves min(x0, x1)
+    with pytest.raises(M.SymmetryViolationError):
+        M.integrate_exact(G.dumbbell(), [(F(1), F(0), F(0)), (F(0), F(0), F(1))])
+    with pytest.raises(M.SymmetryViolationError):
+        M.integrate_exact(G.theta_graph(), [(F(1), F(0), F(0)), (F(0), F(1), F(0))])
+
+
+def test_closed_form_sets_need_no_test_points(monkeypatch):
+    # a set closed under the edge action has an invariant minimum
+    def no_points(n_coords):
+        raise AssertionError("test points evaluated for a closed form set")
+
+    monkeypatch.setattr(M, "_symmetry_test_points", no_points)
+    assert M.expectation(M.build_limit_measure(3), FN.SYSTOLE) == RANK3_VALUES["systole"][1]
+
+
 def test_malformed_forms_rejected():
     with pytest.raises(ValueError):
         M.integrate_exact(G.theta_graph(), [])

@@ -6,7 +6,9 @@ isomorphism over vertex permutations, and automorphism groups against an
 exhaustive search over vertex bijections with naive dart lifts.
 """
 
+import hashlib
 import os
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -113,6 +115,59 @@ def test_enumeration_matches_naive_oracle_rank3():
     oracle = naive_classes(4)
     assert mine == oracle
     assert len(oracle) == 5
+
+
+def exhaustive_enumeration(k):
+    """Every candidate canonicalised, one class per minimal code, in code
+    order: no invariant keys and no certificate."""
+    n = 2 * k - 2
+    seen = {}
+    for cand in G._candidate_edge_lists(n):
+        code = G._min_code(cand, n)
+        if code not in seen:
+            seen[code] = G.TrivalentGraph(G._edges_from_code(code))
+    return tuple(seen[c] for c in sorted(seen))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_enumeration_matches_exhaustive_canonicalisation(k):
+    found = G.enumerate_trivalent(k)
+    oracle = exhaustive_enumeration(k)
+    assert [g.canonical_id() for g in found] == [g.canonical_id() for g in oracle]
+    assert [g.edges for g in found] == [g.edges for g in oracle]
+
+
+# sha256 of the rank-6 canonical ids, one per line in canonical order, from
+# the exhaustive canonicalisation of all 19,215 candidates
+RANK6_IDS_SHA256 = "475ca0d38a6dd477e38d71950d1e4730081b9dcedb9951e846000def7ece6520"
+
+
+def test_rank6_enumeration_pinned():
+    found = G.enumerate_trivalent(6)
+    assert len(found) == 388
+    ids = "\n".join(g.canonical_id() for g in found).encode()
+    assert hashlib.sha256(ids).hexdigest() == RANK6_IDS_SHA256
+    assert sum(Fraction(1, len(G.automorphism_group(g))) for g in found) \
+        == Fraction(82825, 3072)
+
+
+def test_mass_formula_values():
+    assert [G.mass_formula(k) for k in range(2, 8)] == [
+        Fraction(5, 24), Fraction(5, 16), Fraction(1105, 1152),
+        Fraction(565, 128), Fraction(82825, 3072), Fraction(19675, 96)]
+
+
+def test_certificate_rejects_merged_classes(monkeypatch):
+    # one key for every candidate keeps a single class of the five
+    monkeypatch.setattr(G, "_invariant_keys", lambda chunk, n: [b""] * len(chunk))
+    G._enumerate.cache_clear()
+    try:
+        with pytest.raises(G.EnumerationCertificateError,
+                           match=r"rank 3: the 1 classes .* short of the mass "
+                                 r"formula 5/16 by"):
+            G.enumerate_trivalent(3)
+    finally:
+        G._enumerate.cache_clear()
 
 
 def test_rank2_types_are_dumbbell_and_theta():

@@ -50,7 +50,8 @@ def _cycle_matrix(graph: TrivalentGraph) -> np.ndarray:
 
 
 def _systole_kernel(graph: TrivalentGraph, rows: np.ndarray) -> np.ndarray:
-    return (rows @ _cycle_matrix(graph).T).min(axis=1)
+    # reduce across the sample axis, contiguous for block-ordered chunks
+    return (_cycle_matrix(graph) @ rows.T).min(axis=0)
 
 
 def _bridge_constant(graph: TrivalentGraph) -> int:

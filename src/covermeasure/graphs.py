@@ -199,14 +199,29 @@ def _edges_from_code(code):
     return tuple(sorted(edges))
 
 
+# Minimal codes of the graphs already in canonical labelling, seeded by
+# enumeration and canonical_graph, so a type is canonicalised once per
+# process.  Other labellings are not stored: the cache holds one entry per
+# class, however many relabelled inputs pass through.
+_codes: dict[TrivalentGraph, tuple] = {}
+
+
+def _code_of(graph: TrivalentGraph):
+    code = _codes.get(graph)
+    if code is None:
+        code = _min_code(graph.edges, graph.num_vertices)
+        if _edges_from_code(code) == graph.edges:
+            _codes[graph] = code
+    return code
+
+
 def canonical_form(graph: TrivalentGraph) -> bytes:
     """Canonical byte string: isomorphic graphs map to the same value.
 
     Layout: rank, V, E, then the canonically relabeled edge list as byte
     pairs.  Only graphs with fewer than 256 vertices are supported.
     """
-    code = _min_code(graph.edges, graph.num_vertices)
-    edges = _edges_from_code(code)
+    edges = _edges_from_code(_code_of(graph))
     out = bytearray((graph.rank, graph.num_vertices, graph.num_edges))
     for u, v in edges:
         out.extend((u, v))
@@ -215,8 +230,10 @@ def canonical_form(graph: TrivalentGraph) -> bytes:
 
 def canonical_graph(graph: TrivalentGraph) -> TrivalentGraph:
     """The canonical representative of the isomorphism class of ``graph``."""
-    code = _min_code(graph.edges, graph.num_vertices)
-    return TrivalentGraph(_edges_from_code(code))
+    code = _code_of(graph)
+    canonical = TrivalentGraph(_edges_from_code(code))
+    _codes.setdefault(canonical, code)
+    return canonical
 
 
 def graph_from_canonical_form(blob: bytes) -> TrivalentGraph:
@@ -357,6 +374,7 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
             reps.setdefault(key, cand)
     codes = sorted(_min_code(cand, n) for cand in reps.values())
     found = tuple(TrivalentGraph(_edges_from_code(code)) for code in codes)
+    _codes.update(zip(found, codes))
     total = sum(Fraction(1, len(automorphism_group(g))) for g in found)
     want = mass_formula(k)
     if total != want:

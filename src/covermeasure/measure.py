@@ -148,24 +148,15 @@ def build_limit_measure(k: int) -> MeasureMixture:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _cumulative_weights(mixture: MeasureMixture) -> np.ndarray:
-    return np.cumsum([float(w) for w in mixture.weights])
-
-
 def _draw_rows(rng, count: int, n_edges: int) -> np.ndarray:
     exps = rng.standard_exponential((count, n_edges))
     return exps / exps.sum(axis=1, keepdims=True)
 
 
 def sample(mixture: MeasureMixture, rng_seed: int) -> MetricGraph:
-    """One draw from the mixture: block by weight, lengths uniform on the
-    open simplex via normalized exponentials.  Deterministic given the seed."""
-    rng = np.random.default_rng(rng_seed)
-    cum = _cumulative_weights(mixture)
-    b = int(np.searchsorted(cum, rng.random(), side="right"))
-    b = min(b, len(mixture.blocks) - 1)
-    row = _draw_rows(rng, 1, mixture.blocks[b].graph.num_edges)[0]
-    return MetricGraph(mixture.blocks[b].graph, tuple(float(x) for x in row))
+    """One draw from the mixture: the first draw of ``sample_many``, so
+    deterministic given the seed."""
+    return sample_many(mixture, 1, rng_seed)[0]
 
 
 def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
@@ -173,10 +164,16 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
     """Yield (block_indices, length_rows) chunks covering n draws.
 
     Chunk c uses the c-th spawn of SeedSequence(seed), so results are
-    reproducible for a fixed chunk layout regardless of scheduling.
+    reproducible for a fixed chunk layout regardless of scheduling.  A
+    chunk of m draws takes its block counts from the multinomial of the
+    weights, then lengths from one (E, m) array of exponentials normalised
+    along the edge axis.  Block indices are sorted, so each block's rows
+    are one contiguous slice; given the counts, the rows are i.i.d.
+    uniform on the open simplex.
     """
     n_edges = mixture.blocks[0].graph.num_edges
-    cum = _cumulative_weights(mixture)
+    weights = np.array([float(w) for w in mixture.weights])
+    blocks = np.arange(len(weights))
     n_chunks = (n + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     done = 0
@@ -184,11 +181,10 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
         m = min(chunk_size, n - done)
         done += m
         rng = np.random.default_rng(child)
-        u = rng.random(m)
-        rows = _draw_rows(rng, m, n_edges)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"),
-                         len(mixture.blocks) - 1)
-        yield idx, rows
+        counts = rng.multinomial(m, weights)
+        exps = rng.standard_exponential((n_edges, m))
+        exps /= exps.sum(axis=0)
+        yield np.repeat(blocks, counts), exps.T
 
 
 def sample_many(mixture: MeasureMixture, count: int, seed: int) -> list[MetricGraph]:
@@ -200,36 +196,47 @@ def sample_many(mixture: MeasureMixture, count: int, seed: int) -> list[MetricGr
     return out
 
 
+def _merge_moments(moments, values: np.ndarray):
+    """(count, mean, M2) of the union of ``moments`` and ``values`` by the
+    pairwise update of Chan, Golub and LeVeque (1983)."""
+    n_a, mean_a, m2_a = moments
+    n_b = len(values)
+    mean_b = float(values.mean())
+    dev = values - mean_b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * n_b / n,
+            m2_a + float(dev @ dev) + delta * delta * n_a * n_b / n)
+
+
 def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int,
                  chunk_size: int = 1 << 16) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of f over the mixture.
 
-    Named functionals with a vectorized kernel run batched; any other
-    callable is evaluated per sample on MetricGraph values.
+    Named functionals with a vectorized kernel run batched, one call per
+    block of each chunk; any other callable is evaluated per sample on
+    MetricGraph values.  The (count, mean, M2) of each block segment are
+    merged into running totals, so memory is O(chunk_size) whatever n is.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
     kernel = f.kernel if isinstance(f, Functional) else None
     scalar = f.scalar if isinstance(f, Functional) else f
-    values = np.empty(n)
-    pos = 0
+    moments = (0, 0.0, 0.0)
     for idx, rows in sample_chunks(mixture, n, seed, chunk_size):
-        m = len(rows)
-        chunk_vals = np.empty(m)
-        if kernel is not None:
-            for b in np.unique(idx):
-                mask = idx == b
-                chunk_vals[mask] = kernel(mixture.blocks[int(b)].graph, rows[mask])
-        else:
-            for i in range(m):
-                mg = MetricGraph(mixture.blocks[int(idx[i])].graph,
-                                 tuple(float(x) for x in rows[i]))
-                chunk_vals[i] = scalar(mg)
-        values[pos:pos + m] = chunk_vals
-        pos += m
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n))
-    return mean, stderr
+        counts = np.bincount(idx, minlength=len(mixture.blocks))
+        for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts)):
+            if count == 0:
+                continue
+            graph, seg = block.graph, rows[end - count:end]
+            if kernel is not None:
+                values = kernel(graph, seg)
+            else:
+                values = np.array([scalar(MetricGraph(graph, tuple(float(x) for x in row)))
+                                   for row in seg], dtype=float)
+            moments = _merge_moments(moments, values)
+    _, mean, m2 = moments
+    return mean, float(np.sqrt(m2 / (n - 1) / n))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,23 @@ def test_certificate_rejects_merged_classes(monkeypatch):
         G._enumerate.cache_clear()
 
 
+def test_canonical_form_computed_once_per_graph(monkeypatch):
+    found = G.enumerate_trivalent(4)
+    # the codes enumeration seeds are the graphs' own minimal codes
+    assert all(G._codes[g] == G._min_code(g.edges, g.num_vertices) for g in found)
+    calls = []
+    monkeypatch.setattr(G, "_min_code", lambda *a: calls.append(a) or None)
+    assert [G.resolve_graph(g.canonical_id()) for g in found] == list(found)
+    assert calls == []
+
+
+def test_canonical_form_cache_keeps_canonical_labellings_only():
+    relabelled = G.TrivalentGraph(((0, 1), (0, 0), (1, 1)))
+    assert relabelled.canonical_form() == G.dumbbell().canonical_form()
+    assert relabelled not in G._codes
+    assert G.canonical_graph(relabelled) in G._codes
+
+
 def test_rank2_types_are_dumbbell_and_theta():
     ids = {g.canonical_id() for g in G.enumerate_trivalent(2)}
     assert ids == {G.dumbbell().canonical_id(), G.theta_graph().canonical_id()}

@@ -1,6 +1,7 @@
 """Limit-measure construction, lattice discretizations, and sampling."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -171,6 +172,29 @@ def test_sampler_symmetry_kolmogorov_smirnov():
     assert res.pvalue > 0.001
 
 
+def test_sample_chunks_are_block_ordered_on_simplex():
+    m3 = M.build_limit_measure(3)
+    sizes = []
+    for idx, rows in M.sample_chunks(m3, 10_000, seed=4, chunk_size=3000):
+        sizes.append(len(idx))
+        assert rows.shape == (len(idx), 6)
+        assert np.all(np.diff(idx) >= 0)
+        assert np.all(rows > 0)
+        assert np.max(np.abs(rows.sum(axis=1) - 1)) < 1e-12
+    assert sizes == [3000, 3000, 3000, 1000]
+
+
+def test_integrate_mc_memory_is_bounded():
+    m2 = M.build_limit_measure(2)
+    tracemalloc.start()
+    try:
+        M.integrate_mc(m2, FN.SYSTOLE, 4_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_integrate_mc_constant():
     m2 = M.build_limit_measure(2)
     mean, err = M.integrate_mc(m2, lambda mg: 1.0, 1000, seed=0)
@@ -184,10 +208,11 @@ def test_integrate_mc_deterministic():
         == M.integrate_mc(m2, FN.SYSTOLE, 20_000, seed=9)
 
 
-def test_integrate_mc_kernel_matches_scalar_path():
-    m2 = M.build_limit_measure(2)
-    fast = M.integrate_mc(m2, FN.SYSTOLE, 4000, seed=11)
-    slow = M.integrate_mc(m2, FN.SYSTOLE.scalar, 4000, seed=11)
+@pytest.mark.parametrize("k", [2, 3])
+def test_integrate_mc_kernel_matches_scalar_path(k):
+    mixture = M.build_limit_measure(k)
+    fast = M.integrate_mc(mixture, FN.SYSTOLE, 4000, seed=11)
+    slow = M.integrate_mc(mixture, FN.SYSTOLE.scalar, 4000, seed=11)
     assert math.isclose(fast[0], slow[0], abs_tol=1e-12)
     assert math.isclose(fast[1], slow[1], abs_tol=1e-12)
 

@@ -316,9 +316,35 @@ def _invert_count_function(model: CountingModel, log_targets: np.ndarray,
         mid = 0.5 * (lo + hi)
         val = logc + exponent * np.log(mid) + mid
         too_low = val < log_targets
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
+        new_lo = np.where(too_low, mid, lo)
+        new_hi = np.where(too_low, hi, mid)
+        # unchanged brackets give the same mid again: a fixed point
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
+
+
+def _draw_compositions(rng: np.random.Generator, resolution: np.ndarray,
+                       parts: int) -> np.ndarray:
+    """A uniform positive composition of resolution[i] into ``parts`` parts
+    per row, as int64 counts.
+
+    Each row's parts - 1 cuts are a uniform subset of {0..resolution[i]-2},
+    drawn for all rows at once by Floyd's algorithm: step j draws v in
+    0..top, top = resolution - 1 - k + j with k = parts - 1, and takes top
+    instead when v is already a cut.
+    """
+    n, k = len(resolution), parts - 1
+    cuts = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
+        top = resolution - 1 - k + j
+        v = rng.integers(0, top + 1)
+        cuts[:, j] = np.where((cuts[:, :j] == v[:, None]).any(axis=1), top, v)
+    cuts.sort(axis=1)
+    bounds = np.concatenate(
+        (np.zeros((n, 1), dtype=np.int64), cuts + 1, resolution[:, None]), axis=1)
+    return np.diff(bounds, axis=1)
 
 
 def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
@@ -330,8 +356,9 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
     once the cap is reached; the result's ``cap_reached`` and
     ``effective_lmax`` say so).  Markers are drawn per point: exact-marker
     mode samples the limit measure itself; lattice-marker mode samples the
-    lattice discretization at resolution N = max(ceil(length), E), which
-    carries a coarseness bias that fades as the length grows.
+    lattice discretization at resolution N = max(ceil(length), E), a
+    uniform composition of N into E parts drawn for every point in one
+    pass, which carries a coarseness bias that fades as the length grows.
     """
     if mode not in ENSEMBLE_MODES:
         raise ValueError(f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}")
@@ -371,16 +398,8 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
     if mode == "exact-marker":
         rows, resolution = _draw_rows(rng, n, n_edges), None
     else:
-        # a uniform positive composition of N into E parts per point: E - 1
-        # distinct cuts in 1..N-1, one draw per point to keep the stream
         resolution = np.maximum(np.ceil(lengths), n_edges).astype(np.int64)
-        cuts = np.empty((n, n_edges - 1), dtype=np.int64)
-        for i, res in enumerate(resolution.tolist()):
-            cuts[i] = rng.choice(res - 1, size=n_edges - 1, replace=False)
-        cuts.sort(axis=1)
-        bounds = np.concatenate(
-            (np.zeros((n, 1), dtype=np.int64), cuts + 1, resolution[:, None]), axis=1)
-        rows = np.diff(bounds, axis=1)
+        rows = _draw_compositions(rng, resolution, n_edges)
     return SyntheticEnsemble(
         lengths=lengths, blocks=block_idx, rows=rows, resolution=resolution,
         graphs=tuple(b.graph for b in mixture.blocks),

@@ -18,6 +18,7 @@ from covermeasure import asymptotics as A
 from covermeasure import cli
 from covermeasure import functionals as FN
 from covermeasure import graphs as G
+from covermeasure import measure as M
 
 F = Fraction
 
@@ -268,6 +269,50 @@ def test_lattice_marker_coarse_grid():
         assert all((f * resolution).denominator == 1 for f in p.marker.lengths)
 
 
+# (N, E) pairs grouped by E: one draw per E mixes the resolutions row by row
+COMPOSITION_CASES = {3: (3, 5, 7), 6: (9,), 12: (13, 15)}
+
+
+@pytest.mark.parametrize("parts", sorted(COMPOSITION_CASES))
+def test_lattice_compositions_uniform_over_cut_sets(parts):
+    sizes = COMPOSITION_CASES[parts]
+    rng = np.random.default_rng(parts)
+    resolution = np.resize(np.array(sizes, dtype=np.int64), 200_000 * len(sizes))
+    rows = A._draw_compositions(rng, resolution, parts)
+    assert rows.shape == (len(resolution), parts) and np.all(rows > 0)
+    assert np.array_equal(rows.sum(axis=1), resolution)
+    # the cuts of row i are the partial sums, shifted into {0..N-2}
+    masks = (np.int64(1) << (np.cumsum(rows[:, :-1], axis=1) - 1)).sum(axis=1)
+    for n_total in sizes:
+        _, counts = np.unique(masks[resolution == n_total], return_counts=True)
+        assert len(counts) == comb(n_total - 1, parts - 1)
+        if len(counts) > 1:
+            assert stats.chisquare(counts).pvalue > 0.001
+
+
+def _invert_80_steps(model, log_targets, t_max):
+    lo = np.full_like(log_targets, 1e-12)
+    hi = np.full_like(log_targets, t_max)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_low = (math.log(model.c) + (3 * model.rank - 4) * np.log(mid) + mid
+                   < log_targets)
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_count_inversion_stops_at_its_fixed_point(rank):
+    model = A.CountingModel(genus=2, rank=rank)
+    l_max = 40.0
+    rng = np.random.default_rng(rank)
+    arrivals = np.sort(rng.random(10_000)) * math.exp(model.count_function_log(l_max))
+    targets = np.log(arrivals)
+    assert np.array_equal(A._invert_count_function(model, targets, l_max),
+                          _invert_80_steps(model, targets, l_max))
+
+
 def test_ensemble_validation():
     model = A.CountingModel(genus=2, rank=2)
     with pytest.raises(ValueError):
@@ -379,15 +424,22 @@ def test_ensemble_arrays_and_points_agree():
     assert isinstance(full[0].marker.lengths[0], float)
 
 
-# the parent of the array-backed ensemble printed these estimates; lattice
-# markers keep them bit for bit
+# lattice-marker estimates of the one-pass composition draw; the lengths,
+# and so effective_lmax, are those of every earlier version
 PINNED_PS_CONVERGE = [
     (["--rank", "2", "--Lmax", "9", "--seed", "2", "--s-list", "1.4,1.1",
       "--cap", "300"],
-     [0.3115532007519117, 0.3080502860268868], 7.096854919475694),
+     [0.31837781792028225, 0.31799759396971844], 7.096854919475694),
     (["--rank", "3", "--Lmax", "10", "--seed", "5", "--s-list", "1.5,1.1",
       "--cap", "500"],
-     [0.21388119690336735, 0.2120611052239054], 8.015923380307719),
+     [0.2149811765014567, 0.2135485434921397], 8.015923380307719),
+    # exact markers print what they printed before the one-pass draw
+    (["--rank", "2", "--Lmax", "9", "--seed", "2", "--s-list", "1.4,1.1",
+      "--cap", "300", "--mode", "exact-marker"],
+     [0.1405936268668762, 0.18358961432710297], 7.096854919475694),
+    (["--rank", "3", "--Lmax", "10", "--seed", "5", "--s-list", "1.5,1.1",
+      "--cap", "500", "--mode", "exact-marker"],
+     [0.14260486762697158, 0.14056821172996908], 8.015923380307719),
 ]
 
 
@@ -406,6 +458,19 @@ def test_ps_converge_pinned_estimates(argv, estimates, effective_lmax):
         f"covermeasure: warning: the ensemble cap {params['cap']} stopped the "
         f"length process at {effective_lmax:.6g}, short of Lmax "
         f"{params['Lmax']:g}\n")
+
+
+def test_ps_converge_mc_target_beyond_work_limit(monkeypatch):
+    monkeypatch.setattr(M, "EXACT_WORK_LIMIT", 10)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["ps", "converge", "--rank", "3", "--genus", "2", "--Lmax", "9",
+                    "--seed", "1", "--s-list", "1.5", "--cap", "200"],
+                   stdout=out, stderr=err)
+    assert code == 0
+    params = json.loads(out.getvalue())["params"]
+    assert params["target_method"] == "mc"
+    assert "target_exact_numerator" not in params
+    assert abs(params["target_estimate"] - 317 / 2250) < 3 * params["target_stderr"]
 
 
 def test_ps_converge_no_warning_below_cap():

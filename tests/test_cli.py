@@ -43,6 +43,8 @@ SMOKE_COMMANDS = [
     ["ps", "model", "--genus", "2", "--rank", "2", "--s", "1.2"],
     ["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "10",
      "--seed", "0", "--s-list", "1.5,1.02", "--cap", "400"],
+    ["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "10",
+     "--seed", "0", "--s-list", "1.5,1.02", "--cap", "400", "--mode", "exact-marker"],
 ]
 
 

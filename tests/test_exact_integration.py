@@ -224,6 +224,7 @@ def test_ps_converge_rank4_has_exact_target():
                    stdout=out, stderr=err)
     assert code == 0
     params = json.loads(out.getvalue())["params"]
+    assert params["target_method"] == "exact"
     assert params["target_exact_numerator"] == RANK4_SYSTOLE.numerator
     assert params["target_exact_denominator"] == RANK4_SYSTOLE.denominator
 

@@ -299,11 +299,15 @@ def _pointwise(points, f) -> list[float]:
 def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
     """min over the rational forms of form . counts / resolution, per row,
     correctly rounded to float."""
-    den = math.lcm(*(Fraction(c).denominator for form in forms for c in form))
-    mat = np.array([[int(c * den) for c in form] for form in forms], dtype=float)
+    rows, den = functionals.integer_forms(forms)
     # integer entries and small counts: every product and sum is exact in
-    # float64, and one division rounds the exact ratio correctly
-    return (counts @ mat.T).min(axis=1) / (den * resolution)
+    # float64, and one division rounds the exact ratio correctly.  Counts
+    # are positive and sum to the resolution, so no product, partial sum or
+    # denominator exceeds max(|M|, den) * resolution.
+    bound = max(den, *(abs(c) for row in rows for c in row)) * int(resolution.max(initial=0))
+    if bound > 2 ** 53:
+        raise OverflowError(f"form values up to {bound} are not exact in float64")
+    return (counts @ np.array(rows, dtype=float).T).min(axis=1) / (den * resolution)
 
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,

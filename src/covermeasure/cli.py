@@ -102,11 +102,11 @@ def _cmd_measure_weights(args):
 
 def _cmd_measure_lattice(args):
     graph = graphs.resolve_graph(args.graph)
-    sigma = measure.lattice_sigma(graph, args.N)
-    points = measure.lattice_points(graph, args.N)
+    lattice = measure.lattice_sigma(graph, args.N).lattice
     records = []
     lines = []
-    for (point, mult), (_, weight) in zip(points, sigma.atoms):
+    for point, mult, weight in zip(map(tuple, lattice.points.tolist()),
+                                   lattice.multiplicities.tolist(), lattice.weights()):
         rec = {
             "point_numerators": list(point),
             "denominator": args.N,
@@ -117,7 +117,7 @@ def _cmd_measure_lattice(args):
         }
         records.append(rec)
         lines.append(f"{point}/{args.N} x{mult}: weight {weight}")
-    total = sigma.total_mass if sigma.atoms else Fraction(0)
+    total = Fraction(lattice.total_mass)
     params = {
         "rank": graph.rank,
         "graph_id": graph.canonical_id(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +25,15 @@ class Functional:
     scalar: Callable
     forms_for: Callable
     kernel: Optional[Callable] = None
+
+
+def integer_forms(forms) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, d) with forms = M / d: each form's coefficients as Python ints
+    over the least common denominator d of all of them, one row per form."""
+    if not forms:
+        raise ValueError("need at least one linear form")
+    d = lcm(*(Fraction(c).denominator for form in forms for c in form))
+    return tuple(tuple(int(c * d) for c in form) for form in forms), d
 
 
 _cycle_matrices: dict[TrivalentGraph, np.ndarray] = {}

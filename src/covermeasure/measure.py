@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .functionals import Functional
+from .functionals import Functional, integer_forms
 from .graphs import (
     TrivalentGraph,
     automorphism_group,
@@ -107,26 +107,43 @@ class MeasureMixture:
         raise KeyError("graph type is not a block of this mixture")
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Finite weighted point set on moduli space."""
+    """Finite weighted point set on moduli space: explicit (MetricGraph,
+    weight) atoms, or the orbit arrays of a lattice block, whose atoms are
+    built on first access."""
 
-    atoms: tuple[tuple[MetricGraph, object], ...]
+    def __init__(self, atoms=None, *, lattice: Optional[LatticeBlock] = None):
+        if (atoms is None) == (lattice is None):
+            raise ValueError("give either atoms or a lattice")
+        if atoms is not None:
+            atoms = tuple(atoms)
+            if any(w < 0 for _, w in atoms):
+                raise ValueError("atom weights must be nonnegative")
+        self._atoms = atoms
+        self.lattice = lattice
 
-    def __post_init__(self):
-        if any(w < 0 for _, w in self.atoms):
-            raise ValueError("atom weights must be nonnegative")
+    @property
+    def atoms(self) -> tuple[tuple[MetricGraph, object], ...]:
+        if self._atoms is None:
+            self._atoms = self.lattice.atoms()
+        return self._atoms
 
     @property
     def total_mass(self):
+        if self.lattice is not None:
+            return self.lattice.total_mass
         return sum(w for _, w in self.atoms)
 
     def expectation(self, f):
-        """Normalized integral of f; exact if weights and values are exact."""
-        fn = f.scalar if isinstance(f, Functional) else f
+        """Normalized integral of f; exact if weights and values are exact.
+        On a lattice, a Functional is evaluated from its linear forms in
+        integers, without atoms."""
         total = self.total_mass
         if total == 0:
             raise ValueError("empirical measure has zero mass")
+        if self.lattice is not None and isinstance(f, Functional):
+            return self.lattice.expectation(f)
+        fn = f.scalar if isinstance(f, Functional) else f
         return sum(w * fn(mg) for mg, w in self.atoms) / total
 
 
@@ -243,14 +260,21 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int,
 # lattice measures
 # ---------------------------------------------------------------------------
 
-def _positive_compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """The positive compositions of ``total`` into ``parts`` parts, one per
+    row of an int64 array, in lexicographic order."""
+    if total < parts:
+        return np.zeros((0, parts), dtype=np.int64)
+    cols: list[np.ndarray] = []
+    rest = np.array([total], dtype=np.int64)
+    for later in range(parts - 1, 0, -1):
+        # a prefix with ``rest`` left takes 1 .. rest - later next, in order
+        counts = rest - later
+        owner = np.repeat(np.arange(len(rest)), counts)
+        part = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner] + 1
+        cols = [col[owner] for col in cols] + [part]
+        rest = rest[owner] - part
+    return np.stack(cols + [rest], axis=1)
 
 
 def _permuters(graph: TrivalentGraph) -> list[Callable]:
@@ -258,6 +282,33 @@ def _permuters(graph: TrivalentGraph) -> list[Callable]:
     (entry i moves to perm[i])."""
     return [itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
             for perm in edge_action(graph)]
+
+
+def _lattice_orbits(graph: TrivalentGraph, n_slices: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(points, multiplicities) as int64 arrays: the lexicographically least
+    point of each orbit, in lexicographic order, and each orbit's size.
+
+    Each permutation acts on all candidate rows at once by a column gather.
+    A row with a lexicographically smaller image, compared column by column
+    (base-N keys would pass 2^63 at rank 6), is no orbit minimum and leaves
+    the candidates.  The permutations fixing a row form its stabiliser, and
+    the orbit size is |G| / |Stab|.
+    """
+    reps = _compositions(n_slices, graph.num_edges)
+    perms = edge_action(graph)
+    stabiliser = np.zeros(len(reps), dtype=np.int64)
+    for perm in perms:
+        # entry i moves to perm[i]
+        image = reps[:, np.argsort(perm)]
+        differ = image != reps
+        rows = np.arange(len(reps))
+        first = differ.argmax(axis=1)
+        # a row equal to its image gives column 0 and compares equal there
+        keep = image[rows, first] >= reps[rows, first]
+        reps = reps[keep]
+        stabiliser = stabiliser[keep] + ~differ[keep].any(axis=1)
+    return reps, len(perms) // stabiliser
 
 
 def lattice_points(graph: TrivalentGraph, n_slices: int
@@ -269,20 +320,45 @@ def lattice_points(graph: TrivalentGraph, n_slices: int
     multiplicities add up to C(n_slices - 1, E - 1).  Below the number of
     edges there are no positive points and the list is empty.
     """
-    n_edges = graph.num_edges
-    if n_slices < n_edges:
-        return []
-    permuters = _permuters(graph)
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for point in _positive_compositions(n_slices, n_edges):
-        if point in seen:
-            continue
-        orbit = {permute(point) for permute in permuters}
-        seen |= orbit
-        out.append((min(orbit), len(orbit)))
-    out.sort()
-    return out
+    points, mults = _lattice_orbits(graph, n_slices)
+    return list(zip(map(tuple, points.tolist()), mults.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeBlock:
+    """The orbits of a block's lattice at resolution N, as arrays."""
+
+    graph: TrivalentGraph
+    n_slices: int
+    points: np.ndarray  # (m, E) int64 orbit representatives, lexicographic
+    multiplicities: np.ndarray  # (m,) int64 orbit sizes
+    mass: Fraction  # the block mass |Triv|/|Aut|
+    count: int  # C(N - 1, E - 1) positive points, the orbit sizes' sum
+
+    @property
+    def total_mass(self):
+        return self.mass if len(self.points) else 0
+
+    def weights(self) -> list[Fraction]:
+        return [self.mass * Fraction(mult, self.count)
+                for mult in self.multiplicities.tolist()]
+
+    def atoms(self) -> tuple[tuple[MetricGraph, Fraction], ...]:
+        n = self.n_slices
+        return tuple((MetricGraph(self.graph, tuple(Fraction(c, n) for c in point)), w)
+                     for point, w in zip(self.points.tolist(), self.weights()))
+
+    def expectation(self, f: Functional) -> Fraction:
+        """sum mult * min_j(M_j . n) / (C(N-1, E-1) * d * N) for the forms
+        M / d of f: the normalized lattice expectation, in integers."""
+        rows, den = integer_forms(f.forms_for(self.graph))
+        # positive points of norm N give |M_j . n| <= max|M| * N, and the
+        # orbit sizes add up to count
+        bound = max(abs(c) for row in rows for c in row) * self.n_slices * self.count
+        dtype = np.int64 if bound < 2 ** 63 else object
+        values = (self.points.astype(dtype) @ np.array(rows, dtype=dtype).T).min(axis=1)
+        total = int(self.multiplicities.astype(dtype) @ values)
+        return Fraction(total, self.count * den * self.n_slices)
 
 
 def lattice_sigma(graph: TrivalentGraph, n_slices: int) -> EmpiricalMeasure:
@@ -292,14 +368,11 @@ def lattice_sigma(graph: TrivalentGraph, n_slices: int) -> EmpiricalMeasure:
     (|Triv|/|Aut|) * multiplicity / C(N-1, E-1), so the total mass is
     exactly |Triv|/|Aut| at every N.
     """
-    block = SimplexBlock.for_graph(graph)
-    pts = lattice_points(graph, n_slices)
-    denom = comb(n_slices - 1, graph.num_edges - 1)
-    atoms = []
-    for point, mult in pts:
-        mg = MetricGraph(graph, tuple(Fraction(c, n_slices) for c in point))
-        atoms.append((mg, block.mass * Fraction(mult, denom)))
-    return EmpiricalMeasure(atoms=tuple(atoms))
+    count = comb(n_slices - 1, graph.num_edges - 1)
+    points, mults = _lattice_orbits(graph, n_slices)
+    mass = SimplexBlock.for_graph(graph).mass
+    return EmpiricalMeasure(
+        lattice=LatticeBlock(graph, n_slices, points, mults, mass, count))
 
 
 def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
@@ -313,7 +386,7 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
         return total, 0
     hits = 0
     # nonnegative compositions of N are positive ones of N + E, less one each
-    for point in _positive_compositions(n_norm + n_edges, n_edges):
+    for point in _compositions(n_norm + n_edges, n_edges).tolist():
         if predicate(tuple(Fraction(c - 1, n_norm) for c in point)):
             hits += 1
     return total, hits
@@ -348,12 +421,6 @@ class _WorkMeter:
                 f"stopped at {self.count} rays and simplices, over the work "
                 f"limit of {EXACT_WORK_LIMIT}"
             )
-
-
-def _integer_form(form) -> tuple[tuple[int, ...], int]:
-    """(m, d) with form = m / d, m integral and d > 0."""
-    d = lcm(*(c.denominator for c in form))
-    return tuple(int(c * d) for c in form), d
 
 
 def _bit_indices(mask: int):
@@ -471,10 +538,10 @@ def _cell_integral(rep, others, n: int, meter: _WorkMeter) -> Fraction:
     meets the simplex in relative volume |det V| / prod s_i, and a linear
     form averages to (1/n) sum L(v_i) / s_i over it.
     """
-    lrep, drep = _integer_form(rep)
+    (lrep,), drep = integer_forms((rep,))
     constraints = []
     for form in others:
-        lj, dj = _integer_form(form)
+        (lj,), dj = integer_forms((form,))
         constraints.append(tuple(dj * a - drep * b for a, b in zip(lrep, lj)))
     cell = _cell_rays(constraints, n, meter)
     if cell is None:

@@ -1,0 +1,177 @@
+"""Array-backed lattice measures against per-point oracles.
+
+The oracles are the set-orbit loop over a recursive composition generator
+and the per-atom Fraction sums of the scalar invariants, which share no
+code with the integer min-of-forms evaluation.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import numpy as np
+import pytest
+
+from covermeasure import asymptotics as A
+from covermeasure import functionals as FN
+from covermeasure import graphs as G
+from covermeasure import invariants as INV
+from covermeasure import measure as M
+
+F = Fraction
+
+
+def _positive_compositions(total, parts):
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _positive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _set_orbit_points(graph, n_slices):
+    """Orbit minima and sizes by building each orbit as a set."""
+    permuters = M._permuters(graph)
+    seen, out = set(), []
+    for point in _positive_compositions(n_slices, graph.num_edges):
+        if point in seen:
+            continue
+        orbit = {permute(point) for permute in permuters}
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return sorted(out)
+
+
+def _petersen():
+    edges = ([(i, (i + 1) % 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+             + [(i, i + 5) for i in range(5)])
+    return G.TrivalentGraph(tuple(sorted(tuple(sorted(e)) for e in edges)))
+
+
+SCALARS = (
+    (FN.SYSTOLE, INV.systole),
+    (FN.MINEDGE, INV.min_edge_length),
+    (FN.BRIDGE, lambda mg: FN._bridge_constant(mg.graph)),
+)
+
+
+def _per_atom(sigma, scalar):
+    return sum(w * scalar(mg) for mg, w in sigma.atoms) / sigma.total_mass
+
+
+def _types(ranks=(2, 3)):
+    return [g for k in ranks for g in G.enumerate_trivalent(k)]
+
+
+@pytest.mark.parametrize("total,parts", [(1, 1), (5, 1), (2, 3), (3, 3), (7, 3),
+                                         (9, 6), (12, 4)])
+def test_compositions_match_recursive_generator(total, parts):
+    got = M._compositions(total, parts)
+    assert got.dtype == np.int64 and got.shape[1] == parts
+    assert list(map(tuple, got.tolist())) == list(_positive_compositions(total, parts))
+
+
+def test_lattice_points_match_set_orbits():
+    for g in _types():
+        for n in range(g.num_edges - 1, 12):
+            assert M.lattice_points(g, n) == _set_orbit_points(g, n)
+
+
+def test_integer_expectation_matches_per_atom_scalars():
+    for g in _types():
+        for n in range(g.num_edges, 20 if g.rank == 2 else 14):
+            sigma = M.lattice_sigma(g, n)
+            for f, scalar in SCALARS:
+                assert sigma.expectation(f) == _per_atom(sigma, scalar)
+
+
+def test_integer_expectation_rank2_at_240():
+    for g in _types((2,)):
+        sigma = M.lattice_sigma(g, 240)
+        for f, scalar in SCALARS:
+            assert sigma.expectation(f) == _per_atom(sigma, scalar)
+
+
+def test_rank6_points_past_int64_keys():
+    g, n = _petersen(), 20
+    assert g.rank == 6 and n ** g.num_edges > 2 ** 63
+    pts = M.lattice_points(g, n)
+    assert sum(mult for _, mult in pts) == comb(19, 14)
+    assert pts == _set_orbit_points(g, n)
+    sigma = M.lattice_sigma(g, n)
+    assert sigma.expectation(FN.MINEDGE) == _per_atom(sigma, INV.min_edge_length)
+
+
+def test_lazy_atoms_equal_per_point_tuple(monkeypatch):
+    built = []
+    metric_graph = M.MetricGraph
+
+    def counting(graph, lengths):
+        built.append(lengths)
+        return metric_graph(graph, lengths)
+
+    monkeypatch.setattr(M, "MetricGraph", counting)
+    for g in _types((2,)):
+        n = 9
+        block = M.SimplexBlock.for_graph(g)
+        sigma = M.lattice_sigma(g, n)
+        assert sigma.total_mass == block.mass
+        sigma.expectation(FN.SYSTOLE)
+        assert built == []
+        want = tuple((metric_graph(g, tuple(F(c, n) for c in point)),
+                      block.mass * F(mult, comb(n - 1, g.num_edges - 1)))
+                     for point, mult in _set_orbit_points(g, n))
+        assert sigma.atoms == want
+        assert len(built) == len(want)
+        assert sigma.atoms is sigma.atoms
+        built.clear()
+
+
+def test_plain_callable_takes_per_atom_path():
+    sigma = M.lattice_sigma(G.theta_graph(), 12)
+    seen = []
+
+    def scalar(mg):
+        seen.append(mg)
+        return INV.systole(mg)
+
+    assert sigma.expectation(scalar) == sigma.expectation(FN.SYSTOLE)
+    assert seen == [mg for mg, _ in sigma.atoms]
+
+
+def test_empty_lattice_has_zero_mass():
+    sigma = M.lattice_sigma(G.theta_graph(), 2)
+    assert sigma.total_mass == 0
+    with pytest.raises(ValueError, match="zero mass"):
+        sigma.expectation(FN.SYSTOLE)
+
+
+def test_expectation_past_int64_uses_python_ints():
+    # every entry and every point's value fits in int64, but the weighted
+    # sum over C(14, 2) = 91 points would wrap
+    g, n = G.dumbbell(), 15
+    forms = ((F(2 ** 56),) * 3, (F(1), F(2 ** 55), F(5, 7)))
+    big = FN.Functional(name="big", scalar=None, forms_for=lambda graph: forms)
+    sigma = M.lattice_sigma(g, n)
+    want = _per_atom(sigma, lambda mg: min(sum(c * x for c, x in zip(form, mg.lengths))
+                                           for form in forms))
+    assert sigma.expectation(big) == want
+
+
+def test_integer_forms_clear_denominators():
+    rows, d = FN.integer_forms(((F(1, 2), F(0), F(3)), (F(2, 3), F(1), F(1, 6))))
+    assert d == 6
+    assert rows == ((3, 0, 18), (4, 6, 1))
+    with pytest.raises(ValueError):
+        FN.integer_forms(())
+
+
+def test_min_form_ratio_checks_float64_bound():
+    counts = np.array([[1, 2, 3]], dtype=np.int64)
+    resolution = np.array([6], dtype=np.int64)
+    got = A._min_form_ratio(((F(1), F(1, 3), F(0)), (F(0), F(0), F(1))), counts, resolution)
+    assert got.tolist() == [float(F(5, 3) / 6)]
+    with pytest.raises(OverflowError):
+        A._min_form_ratio(((F(2 ** 51), F(1), F(1)),), counts, resolution)

@@ -271,13 +271,12 @@ class SyntheticEnsemble:
     def values(self, f) -> np.ndarray:
         """f at every point, as floats.
 
-        Lattice markers take the minimum of f's linear forms over the
-        integer counts and divide once by the resolution, which gives
-        float(f.scalar(marker)) exactly; exact markers use f's vectorized
-        kernel.  Anything else runs per point on the markers.
+        A Functional runs block by block from its linear forms: lattice
+        markers divide their integer minimum once by the resolution, which
+        gives float(f.scalar(marker)) exactly; exact markers use f.kernel.
+        Anything else runs per point on the markers.
         """
-        if not isinstance(f, functionals.Functional) or (
-                self.resolution is None and f.kernel is None):
+        if not isinstance(f, functionals.Functional):
             return np.array(_pointwise(self, f), dtype=float)
         out = np.empty(len(self))
         for b in np.unique(self.blocks):
@@ -300,14 +299,14 @@ def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.nda
     """min over the rational forms of form . counts / resolution, per row,
     correctly rounded to float."""
     rows, den = functionals.integer_forms(forms)
-    # integer entries and small counts: every product and sum is exact in
-    # float64, and one division rounds the exact ratio correctly.  Counts
-    # are positive and sum to the resolution, so no product, partial sum or
-    # denominator exceeds max(|M|, den) * resolution.
+    # counts are positive and sum to the resolution, so no form value or
+    # denominator exceeds max(|M|, den) * resolution: below 2^53 both are
+    # exact floats, and one division rounds the exact ratio correctly
     bound = max(den, *(abs(c) for row in rows for c in row)) * int(resolution.max(initial=0))
     if bound > 2 ** 53:
         raise OverflowError(f"form values up to {bound} are not exact in float64")
-    return (counts @ np.array(rows, dtype=float).T).min(axis=1) / (den * resolution)
+    values, _ = functionals.integer_minimum(forms, counts)
+    return values / (den * resolution)
 
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,

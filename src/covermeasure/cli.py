@@ -170,6 +170,8 @@ def _cmd_invariant(args):
         raise ValueError(
             f"graph has {graph.num_edges} edges but {len(lengths)} lengths given"
         )
+    if any(l <= 0 for l in lengths):
+        raise ValueError("edge lengths must be positive")
     if args.functional == "systole":
         value = invariants.systole_from_lengths(graph.edges, lengths)
     elif args.functional == "minedge":
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(handler=_cmd_measure_weights, name="measure.weights")
     p = msub.add_parser("lattice", parents=[common])
-    p.add_argument("--rank", type=int, required=False)
     p.add_argument("--graph", required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(handler=_cmd_measure_lattice, name="measure.lattice")

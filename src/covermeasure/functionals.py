@@ -1,15 +1,16 @@
-"""Named functionals on metric graphs, each packaged three ways.
+"""Named functionals on metric graphs, each a minimum of linear forms.
 
-A functional carries a scalar evaluator (for single metric graphs), a
-min-of-linear-forms descriptor per graph type (for exact integration), and
-an optional vectorized kernel over batches of length rows (for Monte
-Carlo).  A property test pins the kernel to the scalar route.
+A functional carries a scalar evaluator (the oracle for single metric
+graphs) and its linear forms per graph type, from which every batch path
+is derived: ``form_minimum`` in float64 (the default kernel) and
+``integer_minimum`` exactly over integer rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, Optional
 
@@ -22,9 +23,14 @@ from .graphs import TrivalentGraph, bridges, simple_cycles
 @dataclass(frozen=True)
 class Functional:
     name: str
-    scalar: Callable
+    scalar: Optional[Callable]
     forms_for: Callable
-    kernel: Optional[Callable] = None
+    # kernel(graph, rows) on float length rows; a field, so callers can wrap it
+    kernel: Optional[Callable] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.kernel is None:
+            object.__setattr__(self, "kernel", partial(form_minimum, self.forms_for))
 
 
 def integer_forms(forms) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -36,7 +42,40 @@ def integer_forms(forms) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(c * d) for c in form) for form in forms), d
 
 
-_cycle_matrices: dict[TrivalentGraph, np.ndarray] = {}
+@lru_cache(maxsize=None)
+def _float_forms(forms_for: Callable, graph: TrivalentGraph) -> tuple[np.ndarray, float]:
+    """(M - m, m) for the float matrix M of ``forms_for(graph)`` and its
+    least coefficient m; read-only, as every caller shares it."""
+    mat = np.array([[float(c) for c in form] for form in forms_for(graph)])
+    low = float(mat.min())
+    mat -= low
+    mat.flags.writeable = False
+    return mat, low
+
+
+def form_minimum(forms_for: Callable, graph: TrivalentGraph,
+                 rows: np.ndarray) -> np.ndarray:
+    """min_j(L_j . x) over the forms of ``forms_for(graph)`` for each row x,
+    a point of the volume-one simplex, as min_j((L_j - m) . x) + m, so a
+    constant form (c, ..., c) gives exactly c."""
+    mat, low = _float_forms(forms_for, graph)
+    # reduce across the sample axis, contiguous for block-ordered chunks
+    return (mat @ rows.T).min(axis=0) + low
+
+
+def integer_minimum(forms, counts: np.ndarray, headroom: int = 1
+                    ) -> tuple[np.ndarray, int]:
+    """(v, d) with v[i] = min_j(M_j . counts[i]) for the forms M / d.
+
+    v is int64 when headroom * max|M| * (largest row L1-norm) < 2^63, else
+    Python ints, so v summed with nonnegative integer weights adding up to
+    at most ``headroom`` stays exact in v's dtype.
+    """
+    rows, den = integer_forms(forms)
+    norm = int(np.abs(counts).sum(axis=1).max(initial=0))
+    bound = max(abs(c) for row in rows for c in row) * norm * headroom
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return (counts.astype(dtype) @ np.array(rows, dtype=dtype).T).min(axis=1), den
 
 
 def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:
@@ -49,19 +88,6 @@ def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:
             row[e] = Fraction(1)
         forms.append(tuple(row))
     return tuple(forms)
-
-
-def _cycle_matrix(graph: TrivalentGraph) -> np.ndarray:
-    mat = _cycle_matrices.get(graph)
-    if mat is None:
-        mat = np.array([[float(c) for c in f] for f in cycle_forms(graph)])
-        _cycle_matrices[graph] = mat
-    return mat
-
-
-def _systole_kernel(graph: TrivalentGraph, rows: np.ndarray) -> np.ndarray:
-    # reduce across the sample axis, contiguous for block-ordered chunks
-    return (_cycle_matrix(graph) @ rows.T).min(axis=0)
 
 
 def _bridge_constant(graph: TrivalentGraph) -> int:
@@ -82,26 +108,16 @@ def _unit_forms(graph: TrivalentGraph):
     )
 
 
-SYSTOLE = Functional(
-    name="systole",
-    scalar=invariants.systole,
-    forms_for=cycle_forms,
-    kernel=_systole_kernel,
-)
+SYSTOLE = Functional(name="systole", scalar=invariants.systole, forms_for=cycle_forms)
 
 BRIDGE = Functional(
     name="bridge",
     scalar=lambda mg: _bridge_constant(mg.graph),
     forms_for=_bridge_forms,
-    kernel=lambda graph, rows: np.full(len(rows), float(_bridge_constant(graph))),
 )
 
-MINEDGE = Functional(
-    name="minedge",
-    scalar=invariants.min_edge_length,
-    forms_for=_unit_forms,
-    kernel=lambda graph, rows: rows.min(axis=1),
-)
+MINEDGE = Functional(name="minedge", scalar=invariants.min_edge_length,
+                     forms_for=_unit_forms)
 
 FUNCTIONALS = {f.name: f for f in (SYSTOLE, BRIDGE, MINEDGE)}
 

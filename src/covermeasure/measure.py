@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functionals import Functional, integer_forms
+from .functionals import Functional, integer_forms, integer_minimum
 from .graphs import (
     TrivalentGraph,
     automorphism_group,
@@ -186,8 +186,11 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
     weights, then lengths from one (E, m) array of exponentials normalised
     along the edge axis.  Block indices are sorted, so each block's rows
     are one contiguous slice; given the counts, the rows are i.i.d.
-    uniform on the open simplex.
+    uniform on the open simplex.  A negative or non-integer n raises
+    InvalidSampleCountError.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InvalidSampleCountError(f"need a nonnegative sample count, got {n!r}")
     n_edges = mixture.blocks[0].graph.num_edges
     weights = np.array([float(w) for w in mixture.weights])
     blocks = np.arange(len(weights))
@@ -230,28 +233,21 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int,
                  chunk_size: int = 1 << 16) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of f over the mixture.
 
-    Named functionals with a vectorized kernel run batched, one call per
-    block of each chunk; any other callable is evaluated per sample on
-    MetricGraph values.  The (count, mean, M2) of each block segment are
-    merged into running totals, so memory is O(chunk_size) whatever n is.
+    A Functional runs batched through its kernel, one call per block of
+    each chunk; a plain callable is evaluated per sample on MetricGraph
+    values.  The (count, mean, M2) of each block segment are merged into
+    running totals, so memory is O(chunk_size) whatever n is.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
-    kernel = f.kernel if isinstance(f, Functional) else None
-    scalar = f.scalar if isinstance(f, Functional) else f
+    kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
+        [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
     moments = (0, 0.0, 0.0)
     for idx, rows in sample_chunks(mixture, n, seed, chunk_size):
         counts = np.bincount(idx, minlength=len(mixture.blocks))
         for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts)):
-            if count == 0:
-                continue
-            graph, seg = block.graph, rows[end - count:end]
-            if kernel is not None:
-                values = kernel(graph, seg)
-            else:
-                values = np.array([scalar(MetricGraph(graph, tuple(float(x) for x in row)))
-                                   for row in seg], dtype=float)
-            moments = _merge_moments(moments, values)
+            if count:
+                moments = _merge_moments(moments, kernel(block.graph, rows[end - count:end]))
     _, mean, m2 = moments
     return mean, float(np.sqrt(m2 / (n - 1) / n))
 
@@ -351,13 +347,9 @@ class LatticeBlock:
     def expectation(self, f: Functional) -> Fraction:
         """sum mult * min_j(M_j . n) / (C(N-1, E-1) * d * N) for the forms
         M / d of f: the normalized lattice expectation, in integers."""
-        rows, den = integer_forms(f.forms_for(self.graph))
-        # positive points of norm N give |M_j . n| <= max|M| * N, and the
-        # orbit sizes add up to count
-        bound = max(abs(c) for row in rows for c in row) * self.n_slices * self.count
-        dtype = np.int64 if bound < 2 ** 63 else object
-        values = (self.points.astype(dtype) @ np.array(rows, dtype=dtype).T).min(axis=1)
-        total = int(self.multiplicities.astype(dtype) @ values)
+        values, den = integer_minimum(f.forms_for(self.graph), self.points,
+                                      headroom=self.count)
+        total = int(self.multiplicities.astype(values.dtype) @ values)
         return Fraction(total, self.count * den * self.n_slices)
 
 
@@ -576,33 +568,23 @@ def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
     return orbits
 
 
-def _symmetry_test_points(n_coords: int):
-    bases = [
+def _symmetry_test_points(n_coords: int) -> list[list[int]]:
+    """Fixed positive points; a point's scale scales its images alike."""
+    return [
         [i + 1 for i in range(n_coords)],
         [(i + 1) ** 2 for i in range(n_coords)],
         [2 ** i for i in range(n_coords)],
         [(i + 2) ** 3 - 1 for i in range(n_coords)],
     ]
-    pts = []
-    for base in bases:
-        s = sum(base)
-        pts.append(tuple(Fraction(b, s) for b in base))
-    return pts
 
 
 def _check_symmetry(graph: TrivalentGraph, forms) -> None:
-    def min_at(x):
-        return min(_dot(f, x) for f in forms)
-
-    for perm in edge_action(graph):
-        for x in _symmetry_test_points(graph.num_edges):
-            permuted = [Fraction(0)] * len(x)
-            for i, p in enumerate(perm):
-                permuted[p] = x[i]
-            if min_at(tuple(permuted)) != min_at(x):
-                raise SymmetryViolationError(
-                    "functional is not invariant under the edge action"
-                )
+    points = _symmetry_test_points(graph.num_edges)
+    images = np.array([permute(x) for permute in _permuters(graph) for x in points])
+    values = integer_minimum(forms, images)[0].reshape(-1, len(points))
+    # the identity is one of the permutations, so every row must match
+    if (values != values[0]).any():
+        raise SymmetryViolationError("functional is not invariant under the edge action")
 
 
 def integrate_exact(graph: TrivalentGraph, f) -> Fraction:

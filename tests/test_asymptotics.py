@@ -402,6 +402,14 @@ def test_ps_measure_exact_marker_rank3_matches_scalar_route():
             _sequential_reference(list(ens), FN.SYSTOLE, s), rel=1e-14, abs=0)
 
 
+def test_ps_measure_exact_marker_runs_forms_only_functional():
+    cycles = FN.Functional(name="cycles", scalar=None, forms_for=FN.cycle_forms)
+    model = A.CountingModel(genus=2, rank=2)
+    ens = A.synthesize_ensemble(model, 10.0, "exact-marker", seed=6, cap=2000)
+    assert A.ps_measure_expectation(ens, cycles, 1.1) \
+        == A.ps_measure_expectation(ens, FN.SYSTOLE, 1.1)
+
+
 def test_ensemble_arrays_and_points_agree():
     model = A.CountingModel(genus=2, rank=2)
     ens = A.synthesize_ensemble(model, 10.0, "lattice-marker", seed=5, cap=400)

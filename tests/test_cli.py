@@ -142,6 +142,9 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _, _ = run_cli([])
     assert code == 2
+    code, _, _ = run_cli(["measure", "lattice", "--rank", "7", "--graph", "theta",
+                          "--N", "4"])
+    assert code == 2
 
 
 def test_computation_errors_exit_1():
@@ -157,6 +160,14 @@ def test_computation_errors_exit_1():
     code, _, err = run_cli(["ps", "sum", "--lengths-file",
                             "/nonexistent/file.txt", "--s", "1.5"])
     assert code == 1
+    code, out, err = run_cli(["sample", "--rank", "2", "--count", "-3"])
+    assert code == 1
+    assert out == ""
+    for functional in ("minedge", "bridge"):
+        code, out, err = run_cli(["invariant", functional, "--graph", "dumbbell",
+                                  "--lengths", "1,2,-3"])
+        assert code == 1
+        assert "positive" in err
 
 
 def test_rank_cap_env_respected(monkeypatch):

@@ -1,5 +1,5 @@
-"""The three views of each named functional must agree: scalar evaluator,
-min-of-forms descriptor, and vectorized kernel."""
+"""The views of each named functional must agree: scalar evaluator,
+min-of-forms descriptor, and the kernel derived from the forms."""
 
 import random
 from fractions import Fraction
@@ -35,7 +35,7 @@ def test_forms_reproduce_scalar(name, k):
 
 
 @pytest.mark.parametrize("name", sorted(FN.FUNCTIONALS))
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_kernel_reproduces_scalar(name, k):
     f = FN.get_functional(name)
     rng = np.random.default_rng(23)
@@ -48,6 +48,17 @@ def test_kernel_reproduces_scalar(name, k):
             for row in rows
         ])
         assert np.allclose(fast, slow, atol=1e-12, rtol=0)
+
+
+def test_kernel_keeps_constant_forms_exact():
+    # on the simplex a constant c is the form (c, ..., c), and the kernel
+    # returns c itself, not a float sum of c * x_i
+    third = FN.Functional(name="third", scalar=None,
+                          forms_for=lambda graph: ((F(1, 3),) * graph.num_edges,))
+    rng = np.random.default_rng(5)
+    for f, g, c in ((third, G.complete_graph_k4(), 1 / 3), (FN.BRIDGE, G.dumbbell(), 1.0)):
+        rows = rng.dirichlet(np.ones(g.num_edges), size=40)
+        assert f.kernel(g, rows).tolist() == [c] * 40
 
 
 def test_bridge_constants():

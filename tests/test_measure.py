@@ -217,6 +217,36 @@ def test_integrate_mc_kernel_matches_scalar_path(k):
     assert math.isclose(fast[1], slow[1], abs_tol=1e-12)
 
 
+def test_integrate_mc_runs_forms_only_functional_batched():
+    # no scalar to fall back on: the kernel derived from the forms does it all
+    cycles = FN.Functional(name="cycles", scalar=None, forms_for=FN.cycle_forms)
+    m2 = M.build_limit_measure(2)
+    assert M.integrate_mc(m2, cycles, 20_000, seed=4) \
+        == M.integrate_mc(m2, FN.SYSTOLE, 20_000, seed=4)
+
+
+# (mean, stderr) of integrate_mc(build_limit_measure(k), f, 10**5, seed=0),
+# so that a change of the random stream or of the kernels' rounding shows;
+# another BLAS may sum in another order, hence the relative 1e-12
+MC_PINS = {
+    (2, "systole"): (0.25679954260082083, 0.0005319438066414642),
+    (2, "minedge"): (0.11089271606018233, 0.00024859055477638166),
+    (2, "bridge"): (0.59644, 0.0015514565202329525),
+    (3, "systole"): (0.1409798955570255, 0.000324914195023632),
+    (3, "minedge"): (0.027751958077279412, 7.403931490368058e-05),
+    (3, "bridge"): (0.6659399999999999, 0.001491529889279496),
+    (4, "systole"): (0.09593405016306375, 0.00023103436480887533),
+    (4, "minedge"): (0.012355407484871921, 3.479249330647299e-05),
+    (4, "bridge"): (0.6788299999999998, 0.001476556843877381),
+}
+
+
+@pytest.mark.parametrize("k, name", sorted(MC_PINS))
+def test_integrate_mc_pinned(k, name):
+    got = M.integrate_mc(M.build_limit_measure(k), FN.get_functional(name), 10**5, seed=0)
+    assert got == pytest.approx(MC_PINS[k, name], rel=1e-12, abs=0)
+
+
 def test_integrate_mc_close_to_exact():
     m2 = M.build_limit_measure(2)
     mean, err = M.integrate_mc(m2, FN.SYSTOLE, 200_000, seed=0)
@@ -227,6 +257,14 @@ def test_integrate_mc_sample_count_validation():
     m2 = M.build_limit_measure(2)
     with pytest.raises(M.InvalidSampleCountError):
         M.integrate_mc(m2, FN.SYSTOLE, 1, seed=0)
+
+
+@pytest.mark.parametrize("count", [-3, 2.5, True])
+def test_sample_count_validation(count):
+    m2 = M.build_limit_measure(2)
+    with pytest.raises(M.InvalidSampleCountError):
+        M.sample_many(m2, count, seed=0)
+    assert M.sample_many(m2, 0, seed=0) == []
 
 
 # --- metric graphs ---------------------------------------------------------------------

@@ -146,11 +146,16 @@ def _is_connected(edges, n) -> bool:
 # ---------------------------------------------------------------------------
 
 def _min_code(edges, n):
-    """Lexicographically minimal level code over all vertex labelings.
+    """Lexicographically minimal level code over all vertex labelings, and
+    every labelling that attains it, as bytes lam with lam[x] the new label
+    of vertex x.
 
     Entry i lists, in sorted order, the smaller endpoints of all edges whose
     larger endpoint is i (a loop at i contributes i itself).  Backtracking
-    with prefix pruning; graphs here have at most 10 vertices.
+    with prefix pruning; graphs here have at most 10 vertices.  The ties are
+    complete because the prune is strict: for a vertex automorphism sigma,
+    the labelling x -> lam0[sigma^-1[x]] has the same entry as lam0 at every
+    level, so it is never cut.  The ties are thus one per automorphism.
     """
     mult = [[0] * n for _ in range(n)]
     for u, v in edges:
@@ -159,6 +164,7 @@ def _min_code(edges, n):
             mult[v][u] += 1
 
     best: list[tuple[tuple[int, ...], ...] | None] = [None]
+    ties: list[bytes] = []
 
     def entry(x, assigned_new, level):
         ent = [level] * mult[x][x]
@@ -173,6 +179,9 @@ def _min_code(edges, n):
             t = tuple(prefix)
             if best[0] is None or t < best[0]:
                 best[0] = t
+                ties.clear()
+            if t == best[0]:
+                ties.append(bytes(map(assigned_new.__getitem__, range(n))))
             return
         cands = sorted(
             (entry(x, assigned_new, level), x)
@@ -188,7 +197,14 @@ def _min_code(edges, n):
             del assigned_new[x]
 
     rec({}, [])
-    return best[0]
+    return best[0], ties
+
+
+def _canonical_ties(ties):
+    """The ties i -> lam[lam0^-1[i]] that a search on the canonical graph
+    finds (its vertex automorphisms), from the ties lam of any search."""
+    unlabel = sorted(range(len(ties[0])), key=ties[0].__getitem__)
+    return [bytes(lam[x] for x in unlabel) for lam in ties]
 
 
 def _edges_from_code(code):
@@ -199,20 +215,21 @@ def _edges_from_code(code):
     return tuple(sorted(edges))
 
 
-# Minimal codes of the graphs already in canonical labelling, seeded by
-# enumeration and canonical_graph, so a type is canonicalised once per
-# process.  Other labellings are not stored: the cache holds one entry per
-# class, however many relabelled inputs pass through.
-_codes: dict[TrivalentGraph, tuple] = {}
+# _min_code of the graphs already in canonical labelling, seeded by
+# enumeration and canonical_graph, so a type is searched once per process.
+# The ties of a canonical labelling are its vertex automorphisms.  Other
+# labellings are not stored: the cache holds one entry per class, however
+# many relabelled inputs pass through.
+_codes: dict[TrivalentGraph, tuple[tuple, list[bytes]]] = {}
 
 
 def _code_of(graph: TrivalentGraph):
-    code = _codes.get(graph)
-    if code is None:
-        code = _min_code(graph.edges, graph.num_vertices)
-        if _edges_from_code(code) == graph.edges:
-            _codes[graph] = code
-    return code
+    found = _codes.get(graph)
+    if found is None:
+        found = _min_code(graph.edges, graph.num_vertices)
+        if _edges_from_code(found[0]) == graph.edges:
+            _codes[graph] = found
+    return found
 
 
 def canonical_form(graph: TrivalentGraph) -> bytes:
@@ -221,7 +238,7 @@ def canonical_form(graph: TrivalentGraph) -> bytes:
     Layout: rank, V, E, then the canonically relabeled edge list as byte
     pairs.  Only graphs with fewer than 256 vertices are supported.
     """
-    edges = _edges_from_code(_code_of(graph))
+    edges = _edges_from_code(_code_of(graph)[0])
     out = bytearray((graph.rank, graph.num_vertices, graph.num_edges))
     for u, v in edges:
         out.extend((u, v))
@@ -230,9 +247,9 @@ def canonical_form(graph: TrivalentGraph) -> bytes:
 
 def canonical_graph(graph: TrivalentGraph) -> TrivalentGraph:
     """The canonical representative of the isomorphism class of ``graph``."""
-    code = _code_of(graph)
+    code, ties = _code_of(graph)
     canonical = TrivalentGraph(_edges_from_code(code))
-    _codes.setdefault(canonical, code)
+    _codes.setdefault(canonical, (code, _canonical_ties(ties)))
     return canonical
 
 
@@ -372,9 +389,10 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
         for key, cand in zip(_invariant_keys(chunk, n), chunk):
             reps.setdefault(key, cand)
-    codes = sorted(_min_code(cand, n) for cand in reps.values())
-    found = tuple(TrivalentGraph(_edges_from_code(code)) for code in codes)
-    _codes.update(zip(found, codes))
+    searched = sorted(_min_code(cand, n) for cand in reps.values())
+    found = tuple(TrivalentGraph(_edges_from_code(code)) for code, _ in searched)
+    _codes.update((g, (code, _canonical_ties(ties)))
+                  for g, (code, ties) in zip(found, searched))
     total = sum(Fraction(1, len(automorphism_group(g))) for g in found)
     want = mass_formula(k)
     if total != want:
@@ -435,99 +453,39 @@ def identity_automorphism(graph: TrivalentGraph) -> GraphAutomorphism:
     return GraphAutomorphism(tuple(range(2 * graph.num_edges)))
 
 
-def _vertex_bijections(graph: TrivalentGraph):
-    """Adjacency-compatible vertex bijections, by backtracking."""
-    n = graph.num_vertices
-    mult = [[0] * n for _ in range(n)]
-    loops = [0] * n
-    for u, v in graph.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    out = []
-    image = [-1] * n
-    used = [False] * n
-
-    def rec(u):
-        if u == n:
-            out.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or loops[w] != loops[u]:
-                continue
-            ok = True
-            for x in range(u):
-                if mult[u][x] != mult[w][image[x]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[u] = w
-            used[w] = True
-            rec(u + 1)
-            used[w] = False
-            image[u] = -1
-
-    rec(0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def automorphism_group(graph: TrivalentGraph) -> tuple[GraphAutomorphism, ...]:
     """The full automorphism group as dart permutations.
 
-    Each adjacency-compatible vertex bijection lifts to dart level by
-    choosing a matching of parallel-edge bundles and an orientation for
-    every loop; all lifts are enumerated.
+    The vertex automorphisms sigma[x] = lam0^-1[lam[x]] come from the ties
+    lam of the canonical search.  Each preserves edge multiplicities, so it
+    lifts to the darts by every matching of the bundle of parallel edges at
+    (u, v) onto the bundle at (sigma u, sigma v); a loop (at most one per
+    vertex) maps in either orientation, a non-loop edge in the one sigma
+    gives it.
     """
     edges = graph.edges
-    n_edges = len(edges)
     bundles: dict[tuple[int, int], list[int]] = {}
     for i, e in enumerate(edges):
         bundles.setdefault(e, []).append(i)
-    keys = sorted(bundles)
+    _, ties = _code_of(graph)
+    unlabel = sorted(range(graph.num_vertices), key=ties[0].__getitem__)
     auts = []
-    for sigma in _vertex_bijections(graph):
-        per_bundle = []
-        ok = True
-        for key in keys:
-            u, v = key
-            tgt = (min(sigma[u], sigma[v]), max(sigma[u], sigma[v]))
-            if tgt not in bundles or len(bundles[tgt]) != len(bundles[key]):
-                ok = False
-                break
-            per_bundle.append((key, bundles[key], bundles[tgt]))
-        if not ok:
-            continue
-        matchings = [list(permutations(tg)) for _, _, tg in per_bundle]
-        for assignment in product(*matchings):
-            base_perm = [-1] * (2 * n_edges)
-            loop_edge_images = []  # (src_edge, dst_edge) for loops
-            for (key, src, _tgt), images in zip(per_bundle, assignment):
-                u, v = key
-                for e_id, f_id in zip(src, images):
-                    if u == v:
-                        loop_edge_images.append((e_id, f_id))
-                    else:
-                        c, d = edges[f_id]
-                        if sigma[u] == c:
-                            base_perm[2 * e_id] = 2 * f_id
-                            base_perm[2 * e_id + 1] = 2 * f_id + 1
-                        else:
-                            base_perm[2 * e_id] = 2 * f_id + 1
-                            base_perm[2 * e_id + 1] = 2 * f_id
-            for flips in product((0, 1), repeat=len(loop_edge_images)):
-                perm = list(base_perm)
-                for (e_id, f_id), flip in zip(loop_edge_images, flips):
-                    if flip:
-                        perm[2 * e_id] = 2 * f_id + 1
-                        perm[2 * e_id + 1] = 2 * f_id
-                    else:
-                        perm[2 * e_id] = 2 * f_id
-                        perm[2 * e_id + 1] = 2 * f_id + 1
-                auts.append(GraphAutomorphism(tuple(perm)))
+    for lam in ties:
+        sigma = [unlabel[label] for label in lam]
+        options = []
+        for (u, v), src in bundles.items():
+            su, sv = sigma[u], sigma[v]
+            flips = (0, 1) if u == v else (int(su > sv),)
+            options.append([(src, images, flip) for images in
+                            permutations(bundles[min(su, sv), max(su, sv)])
+                            for flip in flips])
+        for lift in product(*options):
+            perm = [0] * (2 * len(edges))
+            for src, images, flip in lift:
+                for e, f in zip(src, images):
+                    perm[2 * e], perm[2 * e + 1] = 2 * f + flip, 2 * f + 1 - flip
+            auts.append(GraphAutomorphism(tuple(perm)))
     return tuple(sorted(auts, key=lambda a: a.dart_permutation))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from numbers import Integral
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -186,10 +187,10 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
     weights, then lengths from one (E, m) array of exponentials normalised
     along the edge axis.  Block indices are sorted, so each block's rows
     are one contiguous slice; given the counts, the rows are i.i.d.
-    uniform on the open simplex.  A negative or non-integer n raises
-    InvalidSampleCountError.
+    uniform on the open simplex.  A negative or non-integer n (a bool
+    included) raises InvalidSampleCountError.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise InvalidSampleCountError(f"need a nonnegative sample count, got {n!r}")
     n_edges = mixture.blocks[0].graph.num_edges
     weights = np.array([float(w) for w in mixture.weights])
@@ -238,7 +239,7 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int,
     values.  The (count, mean, M2) of each block segment are merged into
     running totals, so memory is O(chunk_size) whatever n is.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
     kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
         [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))

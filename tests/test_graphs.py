@@ -8,6 +8,7 @@ exhaustive search over vertex bijections with naive dart lifts.
 
 import hashlib
 import os
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -123,7 +124,7 @@ def exhaustive_enumeration(k):
     n = 2 * k - 2
     seen = {}
     for cand in G._candidate_edge_lists(n):
-        code = G._min_code(cand, n)
+        code, _ = G._min_code(cand, n)
         if code not in seen:
             seen[code] = G.TrivalentGraph(G._edges_from_code(code))
     return tuple(seen[c] for c in sorted(seen))
@@ -173,7 +174,8 @@ def test_certificate_rejects_merged_classes(monkeypatch):
 def test_canonical_form_computed_once_per_graph(monkeypatch):
     found = G.enumerate_trivalent(4)
     # the codes enumeration seeds are the graphs' own minimal codes
-    assert all(G._codes[g] == G._min_code(g.edges, g.num_vertices) for g in found)
+    assert all(G._codes[g][0] == G._min_code(g.edges, g.num_vertices)[0]
+               for g in found)
     calls = []
     monkeypatch.setattr(G, "_min_code", lambda *a: calls.append(a) or None)
     assert [G.resolve_graph(g.canonical_id()) for g in found] == list(found)
@@ -262,10 +264,43 @@ def test_k4_symmetries_against_naive_search():
     assert len(G.edge_action(k4)) == 24
 
 
+def relabelled(graph, seed):
+    perm = list(range(graph.num_vertices))
+    random.Random(seed).shuffle(perm)
+    return G.TrivalentGraph(tuple(sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in graph.edges)))
+
+
 @pytest.mark.parametrize("graph", [G.dumbbell(), G.theta_graph()])
 def test_small_groups_against_naive_search(graph):
     mine = {a.dart_permutation for a in G.automorphism_group(graph)}
     assert mine == naive_automorphisms(graph)
+
+
+# enumerated types use their stored automorphisms; a relabelling that is not
+# canonical runs a fresh search
+@pytest.mark.parametrize("k, relabel", [(3, False), (3, True), (4, True)])
+def test_enumerated_groups_against_naive_search(k, relabel):
+    for i, g in enumerate(G.enumerate_trivalent(k)):
+        graph = relabelled(g, seed=i) if relabel else g
+        mine = G.automorphism_group(graph)
+        assert {a.dart_permutation for a in mine} == naive_automorphisms(graph)
+        assert len(set(mine)) == len(mine)
+
+
+def test_stored_ties_are_the_canonical_search_ties():
+    for g in G.enumerate_trivalent(4):
+        assert set(G._codes[g][1]) == set(G._min_code(g.edges, g.num_vertices)[1])
+
+
+def test_groups_of_enumerated_graphs_run_no_search(monkeypatch):
+    found = [g for k in (2, 3, 4) for g in G.enumerate_trivalent(k)]
+    groups = [G.automorphism_group(g) for g in found]
+    calls = []
+    monkeypatch.setattr(G, "_min_code", lambda *a: calls.append(a) or None)
+    G.automorphism_group.cache_clear()
+    assert [G.automorphism_group(g) for g in found] == groups
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -259,6 +259,14 @@ def test_integrate_mc_sample_count_validation():
         M.integrate_mc(m2, FN.SYSTOLE, 1, seed=0)
 
 
+def test_integrate_mc_accepts_numpy_integer_count():
+    m2 = M.build_limit_measure(2)
+    assert M.integrate_mc(m2, FN.SYSTOLE, np.int64(1000), 0) \
+        == M.integrate_mc(m2, FN.SYSTOLE, 1000, 0)
+    with pytest.raises(M.InvalidSampleCountError):
+        M.integrate_mc(m2, FN.SYSTOLE, True, 0)
+
+
 @pytest.mark.parametrize("count", [-3, 2.5, True])
 def test_sample_count_validation(count):
     m2 = M.build_limit_measure(2)

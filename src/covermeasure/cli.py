@@ -102,11 +102,11 @@ def _cmd_measure_weights(args):
 
 def _cmd_measure_lattice(args):
     graph = graphs.resolve_graph(args.graph)
-    lattice = measure.lattice_sigma(graph, args.N).lattice
+    sigma = measure.lattice_sigma(graph, args.N)
     records = []
     lines = []
-    for point, mult, weight in zip(map(tuple, lattice.points.tolist()),
-                                   lattice.multiplicities.tolist(), lattice.weights()):
+    for point, mult, weight in zip(map(tuple, sigma.points.tolist()),
+                                   sigma.multiplicities.tolist(), sigma.weights()):
         rec = {
             "point_numerators": list(point),
             "denominator": args.N,
@@ -117,7 +117,7 @@ def _cmd_measure_lattice(args):
         }
         records.append(rec)
         lines.append(f"{point}/{args.N} x{mult}: weight {weight}")
-    total = Fraction(lattice.total_mass)
+    total = Fraction(sigma.total_mass)
     params = {
         "rank": graph.rank,
         "graph_id": graph.canonical_id(),
@@ -238,6 +238,9 @@ def _cmd_ps_model(args):
 
 
 def _cmd_ps_converge(args):
+    s_values = _parse_float_list(args.s_list)
+    if not s_values:
+        raise ValueError("need at least one s")
     model = asymptotics.CountingModel(genus=args.genus, rank=args.rank)
     ensemble = asymptotics.synthesize_ensemble(
         model, args.Lmax, args.mode, args.seed, cap=args.cap
@@ -257,7 +260,7 @@ def _cmd_ps_converge(args):
                          **_rational_fields(exact, prefix="target_")}
     records = []
     lines = []
-    for s in _parse_float_list(args.s_list):
+    for s in s_values:
         est = asymptotics.ps_measure_expectation(ensemble, f, s)
         err = abs(est - target)
         records.append({"s": s, "estimate": est, "abs_error": err})
@@ -285,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    common.add_argument("--precision", choices=("double", "high"),
-                        default="double")
 
     parser = argparse.ArgumentParser(
         prog="covermeasure",
@@ -345,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--L", type=float, required=True)
+    p.add_argument("--precision", choices=("double", "high"), default="double")
     p.set_defaults(handler=_cmd_count_subgroups, name="count.subgroups")
     p = csub.add_parser("crit", parents=[common])
     p.add_argument("--graph", required=True)

@@ -63,19 +63,20 @@ def form_minimum(forms_for: Callable, graph: TrivalentGraph,
     return (mat @ rows.T).min(axis=0) + low
 
 
-def integer_minimum(forms, counts: np.ndarray, headroom: int = 1
-                    ) -> tuple[np.ndarray, int]:
-    """(v, d) with v[i] = min_j(M_j . counts[i]) for the forms M / d.
-
-    v is int64 when headroom * max|M| * (largest row L1-norm) < 2^63, else
-    Python ints, so v summed with nonnegative integer weights adding up to
-    at most ``headroom`` stays exact in v's dtype.
-    """
+def integer_matrix(forms, norm: int) -> tuple[np.ndarray, int]:
+    """(M^T, d) for the forms M / d, int64 when max|M| * norm < 2^63 and
+    Python ints otherwise, so x @ M^T and sums of its entries stay exact
+    while the rows x summed have L1-norms adding up to at most ``norm``."""
     rows, den = integer_forms(forms)
-    norm = int(np.abs(counts).sum(axis=1).max(initial=0))
-    bound = max(abs(c) for row in rows for c in row) * norm * headroom
-    dtype = np.int64 if bound < 2 ** 63 else object
-    return (counts.astype(dtype) @ np.array(rows, dtype=dtype).T).min(axis=1), den
+    bound = max(abs(c) for row in rows for c in row) * norm
+    return np.array(rows, dtype=np.int64 if bound < 2 ** 63 else object).T, den
+
+
+def integer_minimum(forms, counts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v, d) with v[i] = min_j(M_j . counts[i]) for the forms M / d, in
+    the dtype of ``integer_matrix`` for the largest row L1-norm."""
+    mat, den = integer_matrix(forms, int(np.abs(counts).sum(axis=1).max(initial=0)))
+    return (counts.astype(mat.dtype, copy=False) @ mat).min(axis=1), den
 
 
 def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:

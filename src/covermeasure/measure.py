@@ -9,15 +9,16 @@ floating point enters only in Monte Carlo sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd
 from numbers import Integral
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .functionals import Functional, integer_forms, integer_minimum
+from .functionals import Functional, integer_forms, integer_matrix, integer_minimum
 from .graphs import (
     TrivalentGraph,
     automorphism_group,
@@ -27,6 +28,8 @@ from .graphs import (
 )
 
 _FLOAT_VOLUME_TOL = 1e-9
+# the most rows of compositions held at once by lattice sums and orbits
+_CHUNK_ROWS = 1 << 16
 
 
 class InvalidSampleCountError(ValueError):
@@ -106,46 +109,6 @@ class MeasureMixture:
             if block.graph.canonical_form() == key:
                 return w
         raise KeyError("graph type is not a block of this mixture")
-
-
-class EmpiricalMeasure:
-    """Finite weighted point set on moduli space: explicit (MetricGraph,
-    weight) atoms, or the orbit arrays of a lattice block, whose atoms are
-    built on first access."""
-
-    def __init__(self, atoms=None, *, lattice: Optional[LatticeBlock] = None):
-        if (atoms is None) == (lattice is None):
-            raise ValueError("give either atoms or a lattice")
-        if atoms is not None:
-            atoms = tuple(atoms)
-            if any(w < 0 for _, w in atoms):
-                raise ValueError("atom weights must be nonnegative")
-        self._atoms = atoms
-        self.lattice = lattice
-
-    @property
-    def atoms(self) -> tuple[tuple[MetricGraph, object], ...]:
-        if self._atoms is None:
-            self._atoms = self.lattice.atoms()
-        return self._atoms
-
-    @property
-    def total_mass(self):
-        if self.lattice is not None:
-            return self.lattice.total_mass
-        return sum(w for _, w in self.atoms)
-
-    def expectation(self, f):
-        """Normalized integral of f; exact if weights and values are exact.
-        On a lattice, a Functional is evaluated from its linear forms in
-        integers, without atoms."""
-        total = self.total_mass
-        if total == 0:
-            raise ValueError("empirical measure has zero mass")
-        if self.lattice is not None and isinstance(f, Functional):
-            return self.lattice.expectation(f)
-        fn = f.scalar if isinstance(f, Functional) else f
-        return sum(w * fn(mg) for mg, w in self.atoms) / total
 
 
 def build_limit_measure(k: int) -> MeasureMixture:
@@ -281,31 +244,49 @@ def _permuters(graph: TrivalentGraph) -> list[Callable]:
             for perm in edge_action(graph)]
 
 
+def _composition_chunks(total: int, parts: int):
+    """The rows of ``_compositions(total, parts)`` in order, as blocks of at
+    most _CHUNK_ROWS rows made by fixing leading parts; none if total < parts."""
+    if total < parts:
+        return
+    if comb(total - 1, parts - 1) <= _CHUNK_ROWS:
+        yield _compositions(total, parts)
+        return
+    for first in range(1, total - parts + 2):
+        for block in _composition_chunks(total - first, parts - 1):
+            yield np.insert(block, 0, first, axis=1)
+
+
 def _lattice_orbits(graph: TrivalentGraph, n_slices: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(points, multiplicities) as int64 arrays: the lexicographically least
     point of each orbit, in lexicographic order, and each orbit's size.
 
-    Each permutation acts on all candidate rows at once by a column gather.
-    A row with a lexicographically smaller image, compared column by column
-    (base-N keys would pass 2^63 at rank 6), is no orbit minimum and leaves
-    the candidates.  The permutations fixing a row form its stabiliser, and
-    the orbit size is |G| / |Stab|.
+    Each permutation acts on all candidate rows of a chunk at once by a
+    column gather.  A row with a lexicographically smaller image, compared
+    column by column (base-N keys would pass 2^63 at rank 6), is no orbit
+    minimum and leaves the candidates.  The permutations fixing a row form
+    its stabiliser, and the orbit size is |G| / |Stab|.  Both are per row,
+    so chunks are filtered one at a time and concatenated in order.
     """
-    reps = _compositions(n_slices, graph.num_edges)
     perms = edge_action(graph)
-    stabiliser = np.zeros(len(reps), dtype=np.int64)
-    for perm in perms:
-        # entry i moves to perm[i]
-        image = reps[:, np.argsort(perm)]
-        differ = image != reps
-        rows = np.arange(len(reps))
-        first = differ.argmax(axis=1)
-        # a row equal to its image gives column 0 and compares equal there
-        keep = image[rows, first] >= reps[rows, first]
-        reps = reps[keep]
-        stabiliser = stabiliser[keep] + ~differ[keep].any(axis=1)
-    return reps, len(perms) // stabiliser
+    points = [np.zeros((0, graph.num_edges), dtype=np.int64)]
+    mults = [np.zeros(0, dtype=np.int64)]
+    for reps in _composition_chunks(n_slices, graph.num_edges):
+        stabiliser = np.zeros(len(reps), dtype=np.int64)
+        for perm in perms:
+            # entry i moves to perm[i]
+            image = reps[:, np.argsort(perm)]
+            differ = image != reps
+            rows = np.arange(len(reps))
+            first = differ.argmax(axis=1)
+            # a row equal to its image gives column 0 and compares equal there
+            keep = image[rows, first] >= reps[rows, first]
+            reps = reps[keep]
+            stabiliser = stabiliser[keep] + ~differ[keep].any(axis=1)
+        points.append(reps)
+        mults.append(len(perms) // stabiliser)
+    return np.concatenate(points), np.concatenate(mults)
 
 
 def lattice_points(graph: TrivalentGraph, n_slices: int
@@ -322,50 +303,67 @@ def lattice_points(graph: TrivalentGraph, n_slices: int
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeBlock:
-    """The orbits of a block's lattice at resolution N, as arrays."""
+class EmpiricalMeasure:
+    """A block's lattice at resolution N >= 1: an atom at n/N per orbit of
+    positive compositions n of N under the edge action, weighted by mass *
+    orbit size / C(N - 1, E - 1).  Orbits are built on first access to
+    them; the expectation of a Functional needs none."""
 
     graph: TrivalentGraph
     n_slices: int
-    points: np.ndarray  # (m, E) int64 orbit representatives, lexicographic
-    multiplicities: np.ndarray  # (m,) int64 orbit sizes
     mass: Fraction  # the block mass |Triv|/|Aut|
-    count: int  # C(N - 1, E - 1) positive points, the orbit sizes' sum
+
+    def __post_init__(self):
+        if self.n_slices < 1:
+            raise ValueError(f"lattice resolution N must be at least 1, got {self.n_slices}")
+
+    @property
+    def count(self) -> int:  # C(N - 1, E - 1) positive compositions
+        return comb(self.n_slices - 1, self.graph.num_edges - 1)
 
     @property
     def total_mass(self):
-        return self.mass if len(self.points) else 0
+        return self.mass if self.count else 0
+
+    @cached_property
+    def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        return _lattice_orbits(self.graph, self.n_slices)
+
+    # (m, E) int64 orbit representatives in lexicographic order; their sizes
+    points = property(lambda self: self._orbits[0])
+    multiplicities = property(lambda self: self._orbits[1])
 
     def weights(self) -> list[Fraction]:
         return [self.mass * Fraction(mult, self.count)
                 for mult in self.multiplicities.tolist()]
 
+    @cached_property
     def atoms(self) -> tuple[tuple[MetricGraph, Fraction], ...]:
         n = self.n_slices
         return tuple((MetricGraph(self.graph, tuple(Fraction(c, n) for c in point)), w)
                      for point, w in zip(self.points.tolist(), self.weights()))
 
-    def expectation(self, f: Functional) -> Fraction:
-        """sum mult * min_j(M_j . n) / (C(N-1, E-1) * d * N) for the forms
-        M / d of f: the normalized lattice expectation, in integers."""
-        values, den = integer_minimum(f.forms_for(self.graph), self.points,
-                                      headroom=self.count)
-        total = int(self.multiplicities.astype(values.dtype) @ values)
+    def expectation(self, f):
+        """Normalized integral of f.  A plain callable is evaluated per atom.
+        A Functional, with forms M / d invariant under the edge action, gives
+        sum_n min_j(M_j . n) / (C(N-1, E-1) * d * N) over all compositions n,
+        in integers: the orbit sum, as the minimum is constant on orbits."""
+        if self.total_mass == 0:
+            raise ValueError("empirical measure has zero mass")
+        if not isinstance(f, Functional):
+            return sum(w * f(mg) for mg, w in self.atoms) / self.total_mass
+        forms = f.forms_for(self.graph)
+        _check_symmetry(self.graph, forms)
+        mat, den = integer_matrix(forms, self.n_slices * self.count)
+        total = sum(int((chunk.astype(mat.dtype, copy=False) @ mat).min(axis=1).sum())
+                    for chunk in _composition_chunks(self.n_slices, self.graph.num_edges))
         return Fraction(total, self.count * den * self.n_slices)
 
 
 def lattice_sigma(graph: TrivalentGraph, n_slices: int) -> EmpiricalMeasure:
-    """The lattice discretization of the block measure at resolution N.
-
-    Atoms sit at n/N for each orbit representative, weighted by
-    (|Triv|/|Aut|) * multiplicity / C(N-1, E-1), so the total mass is
-    exactly |Triv|/|Aut| at every N.
-    """
-    count = comb(n_slices - 1, graph.num_edges - 1)
-    points, mults = _lattice_orbits(graph, n_slices)
-    mass = SimplexBlock.for_graph(graph).mass
-    return EmpiricalMeasure(
-        lattice=LatticeBlock(graph, n_slices, points, mults, mass, count))
+    """The lattice discretization of the block measure at resolution N; its
+    total mass is exactly |Triv|/|Aut| at every N >= E, and 0 below."""
+    return EmpiricalMeasure(graph, n_slices, SimplexBlock.for_graph(graph).mass)
 
 
 def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
@@ -377,11 +375,10 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
     total = comb(n_norm + n_edges - 1, n_edges - 1)
     if n_norm == 0:
         return total, 0
-    hits = 0
     # nonnegative compositions of N are positive ones of N + E, less one each
-    for point in _compositions(n_norm + n_edges, n_edges).tolist():
-        if predicate(tuple(Fraction(c - 1, n_norm) for c in point)):
-            hits += 1
+    hits = sum(1 for chunk in _composition_chunks(n_norm + n_edges, n_edges)
+               for point in chunk.tolist()
+               if predicate(tuple(Fraction(c - 1, n_norm) for c in point)))
     return total, hits
 
 

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from covermeasure import cli
+from covermeasure import asymptotics, cli
 
 
 def run_cli(argv):
@@ -168,6 +168,36 @@ def test_computation_errors_exit_1():
                                   "--lengths", "1,2,-3"])
         assert code == 1
         assert "positive" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_lattice_resolution_below_one_exits_1(n):
+    code, out, err = run_cli(["measure", "lattice", "--graph", "theta", "--N", n])
+    assert code == 1
+    assert out == ""
+    assert f"N must be at least 1, got {n}" in err
+
+
+def test_ps_converge_empty_s_list_exits_1():
+    code, out, err = run_cli(["ps", "converge", "--rank", "2", "--genus", "2",
+                              "--Lmax", "10", "--s-list", ""])
+    assert code == 1
+    assert out == ""
+    assert "need at least one s" in err
+
+
+def test_precision_only_on_count_subgroups(capsys):
+    argv = ["count", "subgroups", "--genus", "2", "--rank", "2", "--L", "12"]
+    _, plain, _ = run_cli(argv)
+    _, high, _ = run_cli(argv + ["--precision", "high"])
+    plain_rec, high_rec = json.loads(plain)["records"][0], json.loads(high)["records"][0]
+    model = asymptotics.CountingModel(genus=2, rank=2)
+    assert high_rec.pop("c_high_precision") == str(model.c_high_precision())
+    assert high_rec == plain_rec
+    code, _, _ = run_cli(["expect", "--rank", "2", "--functional", "systole",
+                          "--precision", "high"])
+    assert code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 def test_rank_cap_env_respected(monkeypatch):

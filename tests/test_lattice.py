@@ -5,8 +5,12 @@ and the per-atom Fraction sums of the scalar invariants, which share no
 code with the integer min-of-forms evaluation.
 """
 
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,22 +146,98 @@ def test_plain_callable_takes_per_atom_path():
 
 
 def test_empty_lattice_has_zero_mass():
-    sigma = M.lattice_sigma(G.theta_graph(), 2)
-    assert sigma.total_mass == 0
-    with pytest.raises(ValueError, match="zero mass"):
-        sigma.expectation(FN.SYSTOLE)
+    for n in (1, 2):
+        sigma = M.lattice_sigma(G.theta_graph(), n)
+        assert sigma.total_mass == 0 and sigma.atoms == ()
+        with pytest.raises(ValueError, match="zero mass"):
+            sigma.expectation(FN.SYSTOLE)
 
 
-def test_expectation_past_int64_uses_python_ints():
-    # every entry and every point's value fits in int64, but the weighted
-    # sum over C(14, 2) = 91 points would wrap
+def test_expectation_past_int64_uses_python_ints(monkeypatch):
+    # every entry and every point's value fits in int64, but the sum over
+    # the C(14, 2) = 91 compositions would wrap; the forms are closed under
+    # the swap of the dumbbell's loops
     g, n = G.dumbbell(), 15
-    forms = ((F(2 ** 56),) * 3, (F(1), F(2 ** 55), F(5, 7)))
+    forms = ((F(2 ** 56),) * 3, (F(1), F(2 ** 55), F(5, 7)), (F(2 ** 55), F(1), F(5, 7)))
     big = FN.Functional(name="big", scalar=None, forms_for=lambda graph: forms)
     sigma = M.lattice_sigma(g, n)
     want = _per_atom(sigma, lambda mg: min(sum(c * x for c, x in zip(form, mg.lengths))
                                            for form in forms))
+    dtypes = {}
+    integer_matrix = M.integer_matrix
+
+    def spy(forms, norm):
+        mat, den = integer_matrix(forms, norm)
+        dtypes[norm] = mat.dtype
+        return mat, den
+
+    monkeypatch.setattr(M, "integer_matrix", spy)
     assert sigma.expectation(big) == want
+    assert dtypes == {n * comb(n - 1, 2): object}
+
+
+def _orbit_sum(graph, n_slices, f):
+    """The normalized lattice expectation as the orbit-weighted sum."""
+    points, mults = M._lattice_orbits(graph, n_slices)
+    values, den = FN.integer_minimum(f.forms_for(graph), points)
+    total = sum(m * v for m, v in zip(mults.tolist(), values.tolist()))
+    return F(total, comb(n_slices - 1, graph.num_edges - 1) * den * n_slices)
+
+
+def test_composition_sum_equals_orbit_sum():
+    for g in _types():
+        for n in range(g.num_edges, 15):
+            sigma = M.lattice_sigma(g, n)
+            for f, _ in SCALARS:
+                assert sigma.expectation(f) == _orbit_sum(g, n, f)
+
+
+def test_functional_expectation_builds_no_orbits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbits or atoms built")
+
+    monkeypatch.setattr(M, "_lattice_orbits", refuse)
+    monkeypatch.setattr(M, "MetricGraph", refuse)
+    for g in _types():
+        for f, _ in SCALARS:
+            M.lattice_sigma(g, 11).expectation(f)
+
+
+def test_non_invariant_forms_raise():
+    # the dumbbell's loops are edges 0 and 1; weighting one of them more
+    # breaks the loop swap
+    lopsided = FN.Functional(name="lopsided", scalar=None,
+                             forms_for=lambda graph: ((F(2), F(1), F(0)),))
+    with pytest.raises(M.SymmetryViolationError):
+        M.lattice_sigma(G.dumbbell(), 9).expectation(lopsided)
+
+
+@pytest.mark.parametrize("total,parts", [(0, 3), (2, 3), (3, 3), (9, 4), (13, 5)])
+def test_composition_chunks_split_in_order(monkeypatch, total, parts):
+    monkeypatch.setattr(M, "_CHUNK_ROWS", 4)
+    chunks = list(M._composition_chunks(total, parts))
+    assert all(len(chunk) <= 4 for chunk in chunks)
+    rows = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+    assert rows == list(_positive_compositions(total, parts))
+
+
+def test_small_chunks_give_same_results(monkeypatch):
+    cases = [(g, n) for g in _types() for n in (g.num_edges, 11)]
+    want = [(M.lattice_points(g, n), [M.lattice_sigma(g, n).expectation(f)
+                                      for f, _ in SCALARS]) for g, n in cases]
+    want_omega = [M.omega_counts(k, 7, lambda x: max(x) < F(1, 2)) for k in (2, 3)]
+    monkeypatch.setattr(M, "_CHUNK_ROWS", 3)
+    got = [(M.lattice_points(g, n), [M.lattice_sigma(g, n).expectation(f)
+                                     for f, _ in SCALARS]) for g, n in cases]
+    assert got == want
+    assert [M.omega_counts(k, 7, lambda x: max(x) < F(1, 2)) for k in (2, 3)] == want_omega
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_resolution_below_one_is_refused(n):
+    with pytest.raises(ValueError, match=f"N must be at least 1, got {n}"):
+        M.lattice_sigma(G.theta_graph(), n)
+    assert M.lattice_points(G.theta_graph(), n) == []
 
 
 def test_integer_forms_clear_denominators():
@@ -175,3 +255,17 @@ def test_min_form_ratio_checks_float64_bound():
     assert got.tolist() == [float(F(5, 3) / 6)]
     with pytest.raises(OverflowError):
         A._min_form_ratio(((F(2 ** 51), F(1), F(1)),), counts, resolution)
+
+
+def test_lattice_convergence_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "lattice_convergence.py"
+    out = subprocess.run([sys.executable, str(script), "--rank", "2", "--N-list", "12,24",
+                          "--json"], capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["exact"] == float(F(23, 90))
+    mixture = M.build_limit_measure(2)
+    assert [row["N"] for row in report["rows"]] == [12, 24]
+    for row in report["rows"]:
+        want = sum(w * M.lattice_sigma(block.graph, row["N"]).expectation(FN.SYSTOLE)
+                   for block, w in zip(mixture.blocks, mixture.weights))
+        assert row["lattice_expectation"] == float(want)

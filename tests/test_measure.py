@@ -289,13 +289,3 @@ def test_metric_graph_validation():
     mg = M.MetricGraph(th, (0.2, 0.3, 0.5))
     assert not mg.is_exact
 
-
-def test_empirical_measure_expectation_exact():
-    th = G.theta_graph()
-    atoms = (
-        (M.MetricGraph(th, (F(1, 3), F(1, 3), F(1, 3))), F(1, 4)),
-        (M.MetricGraph(th, (F(1, 2), F(1, 4), F(1, 4))), F(3, 4)),
-    )
-    emp = M.EmpiricalMeasure(atoms)
-    assert emp.total_mass == 1
-    assert emp.expectation(FN.MINEDGE) == F(1, 4) * F(1, 3) + F(3, 4) * F(1, 4)

@@ -298,15 +298,15 @@ def _pointwise(points, f) -> list[float]:
 def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
     """min over the rational forms of form . counts / resolution, per row,
     correctly rounded to float."""
-    rows, den = functionals.integer_forms(forms)
+    top = int(resolution.max(initial=0))
+    mat, den = functionals.integer_matrix(forms, top)
     # counts are positive and sum to the resolution, so no form value or
     # denominator exceeds max(|M|, den) * resolution: below 2^53 both are
     # exact floats, and one division rounds the exact ratio correctly
-    bound = max(den, *(abs(c) for row in rows for c in row)) * int(resolution.max(initial=0))
+    bound = max(den, int(np.abs(mat).max())) * top
     if bound > 2 ** 53:
         raise OverflowError(f"form values up to {bound} are not exact in float64")
-    values, _ = functionals.integer_minimum(forms, counts)
-    return values / (den * resolution)
+    return functionals.integer_minimum(mat, counts) / (den * resolution)
 
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,

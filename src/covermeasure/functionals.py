@@ -36,10 +36,11 @@ class Functional:
 def integer_forms(forms) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(M, d) with forms = M / d: each form's coefficients as Python ints
     over the least common denominator d of all of them, one row per form."""
+    forms = [[Fraction(c) for c in form] for form in forms]
     if not forms:
         raise ValueError("need at least one linear form")
-    d = lcm(*(Fraction(c).denominator for form in forms for c in form))
-    return tuple(tuple(int(c * d) for c in form) for form in forms), d
+    d = lcm(*(c.denominator for form in forms for c in form))
+    return tuple(tuple(c.numerator * d // c.denominator for c in form) for form in forms), d
 
 
 @lru_cache(maxsize=None)
@@ -72,11 +73,10 @@ def integer_matrix(forms, norm: int) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64 if bound < 2 ** 63 else object).T, den
 
 
-def integer_minimum(forms, counts: np.ndarray) -> tuple[np.ndarray, int]:
-    """(v, d) with v[i] = min_j(M_j . counts[i]) for the forms M / d, in
-    the dtype of ``integer_matrix`` for the largest row L1-norm."""
-    mat, den = integer_matrix(forms, int(np.abs(counts).sum(axis=1).max(initial=0)))
-    return (counts.astype(mat.dtype, copy=False) @ mat).min(axis=1), den
+def integer_minimum(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """min_j(M_j . counts[i]) per row i, for the matrix M^T of
+    ``integer_matrix``, in its dtype."""
+    return (counts.astype(mat.dtype, copy=False) @ mat).min(axis=1)
 
 
 def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:

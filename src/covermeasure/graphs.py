@@ -505,48 +505,10 @@ def edge_action(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 def bridges_of_edges(edges, n) -> frozenset[int]:
-    """Indices of edges whose removal disconnects the graph.  Loops never
-    qualify; parallel edges cover for each other."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        if u == v:
-            continue
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    out = set()
-    counter = [0]
-
-    def dfs(root):
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            x, in_edge, it = stack[-1]
-            advanced = False
-            for y, eid in it:
-                if eid == in_edge:
-                    continue
-                if disc[y] == -1:
-                    disc[y] = low[y] = counter[0]
-                    counter[0] += 1
-                    stack.append((y, eid, iter(adj[y])))
-                    advanced = True
-                    break
-                low[x] = min(low[x], disc[y])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    px = stack[-1][0]
-                    low[px] = min(low[px], low[x])
-                    if low[x] > disc[px]:
-                        out.add(in_edge)
-
-    for r in range(n):
-        if disc[r] == -1:
-            dfs(r)
-    return frozenset(out)
+    """Indices of edges whose removal disconnects the graph: the edges on no
+    simple cycle, so never a loop or one of a parallel pair."""
+    on_cycle = {e for cycle in simple_cycles_of_edges(edges, n) for e in cycle}
+    return frozenset(range(len(edges))) - on_cycle
 
 
 def bridges(graph: TrivalentGraph) -> frozenset[int]:

@@ -30,6 +30,8 @@ from .graphs import (
 _FLOAT_VOLUME_TOL = 1e-9
 # the most rows of compositions held at once by lattice sums and orbits
 _CHUNK_ROWS = 1 << 16
+# Monte Carlo draws per chunk; unlike _CHUNK_ROWS it fixes the random stream
+_SAMPLE_CHUNK = 1 << 16
 
 
 class InvalidSampleCountError(ValueError):
@@ -140,9 +142,8 @@ def sample(mixture: MeasureMixture, rng_seed: int) -> MetricGraph:
     return sample_many(mixture, 1, rng_seed)[0]
 
 
-def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
-                  chunk_size: int = 1 << 16):
-    """Yield (block_indices, length_rows) chunks covering n draws.
+def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
+    """Yield (block_indices, length_rows) chunks of _SAMPLE_CHUNK draws, n in all.
 
     Chunk c uses the c-th spawn of SeedSequence(seed), so results are
     reproducible for a fixed chunk layout regardless of scheduling.  A
@@ -158,11 +159,11 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int,
     n_edges = mixture.blocks[0].graph.num_edges
     weights = np.array([float(w) for w in mixture.weights])
     blocks = np.arange(len(weights))
-    n_chunks = (n + chunk_size - 1) // chunk_size
+    n_chunks = (n + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     done = 0
     for child in children:
-        m = min(chunk_size, n - done)
+        m = min(_SAMPLE_CHUNK, n - done)
         done += m
         rng = np.random.default_rng(child)
         counts = rng.multinomial(m, weights)
@@ -193,21 +194,20 @@ def _merge_moments(moments, values: np.ndarray):
             m2_a + float(dev @ dev) + delta * delta * n_a * n_b / n)
 
 
-def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int,
-                 chunk_size: int = 1 << 16) -> tuple[float, float]:
+def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of f over the mixture.
 
     A Functional runs batched through its kernel, one call per block of
     each chunk; a plain callable is evaluated per sample on MetricGraph
     values.  The (count, mean, M2) of each block segment are merged into
-    running totals, so memory is O(chunk_size) whatever n is.
+    running totals, so memory is O(_SAMPLE_CHUNK) whatever n is.
     """
     if not isinstance(n, Integral) or isinstance(n, bool) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
     kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
         [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
     moments = (0, 0.0, 0.0)
-    for idx, rows in sample_chunks(mixture, n, seed, chunk_size):
+    for idx, rows in sample_chunks(mixture, n, seed):
         counts = np.bincount(idx, minlength=len(mixture.blocks))
         for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts)):
             if count:
@@ -352,10 +352,9 @@ class EmpiricalMeasure:
             raise ValueError("empirical measure has zero mass")
         if not isinstance(f, Functional):
             return sum(w * f(mg) for mg, w in self.atoms) / self.total_mass
-        forms = f.forms_for(self.graph)
-        _check_symmetry(self.graph, forms)
-        mat, den = integer_matrix(forms, self.n_slices * self.count)
-        total = sum(int((chunk.astype(mat.dtype, copy=False) @ mat).min(axis=1).sum())
+        rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph))
+        mat, _ = integer_matrix(rows, self.n_slices * self.count)
+        total = sum(int(integer_minimum(mat, chunk).sum())
                     for chunk in _composition_chunks(self.n_slices, self.graph.num_edges))
         return Fraction(total, self.count * den * self.n_slices)
 
@@ -371,6 +370,8 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
     3k-3 with L1-norm N, and those whose projectivization n/N satisfies the
     predicate.  The zero vector (N = 0) has no projectivization and never
     counts toward Omega_A."""
+    if n_norm < 0:
+        raise ValueError(f"lattice norm N must be nonnegative, got {n_norm}")
     n_edges = 3 * k - 3
     total = comb(n_norm + n_edges - 1, n_edges - 1)
     if n_norm == 0:
@@ -520,26 +521,22 @@ def _bareiss_det(rows) -> int:
     return sign * m[-1][-1]
 
 
-def _cell_integral(rep, others, n: int, meter: _WorkMeter) -> Fraction:
+def _cell_integral(rep, forms, n: int, meter: _WorkMeter) -> Fraction:
     """Integral of rep over {x in the simplex : rep(x) <= L(x) for all L in
-    others}, relative to the simplex volume.
+    forms}, relative to the simplex volume, for integer rows rep and forms.
 
     A simplicial cone with integer generators v_i and coordinate sums s_i
     meets the simplex in relative volume |det V| / prod s_i, and a linear
     form averages to (1/n) sum L(v_i) / s_i over it.
     """
-    (lrep,), drep = integer_forms((rep,))
-    constraints = []
-    for form in others:
-        (lj,), dj = integer_forms((form,))
-        constraints.append(tuple(dj * a - drep * b for a, b in zip(lrep, lj)))
+    constraints = [tuple(a - b for a, b in zip(rep, form)) for form in forms if form != rep]
     cell = _cell_rays(constraints, n, meter)
     if cell is None:
         return Fraction(0)
     rays, tight = cell
     facet_masks = _rays_tight_on(tight, n + len(constraints))
     sums = [sum(r) for r in rays]
-    values = [_dot(lrep, r) for r in rays]
+    values = [_dot(rep, r) for r in rays]
     total = Fraction(0)
     for simplex in _pulling_simplices((1 << len(rays)) - 1, n, facet_masks):
         meter.add()
@@ -550,7 +547,7 @@ def _cell_integral(rep, others, n: int, meter: _WorkMeter) -> Fraction:
         num = sum(values[i] * (prod // sums[i]) for i in idx)
         det = _bareiss_det([rays[i] for i in idx])
         total += Fraction(abs(det) * num, prod * prod)
-    return total / (n * drep)
+    return total / n
 
 
 def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
@@ -576,45 +573,50 @@ def _symmetry_test_points(n_coords: int) -> list[list[int]]:
     ]
 
 
-def _check_symmetry(graph: TrivalentGraph, forms) -> None:
+def _check_symmetry(graph: TrivalentGraph, rows) -> None:
     points = _symmetry_test_points(graph.num_edges)
     images = np.array([permute(x) for permute in _permuters(graph) for x in points])
-    values = integer_minimum(forms, images)[0].reshape(-1, len(points))
+    mat, _ = integer_matrix(rows, int(images.sum(axis=1).max()))
+    values = integer_minimum(mat, images).reshape(-1, len(points))
     # the identity is one of the permutations, so every row must match
     if (values != values[0]).any():
         raise SymmetryViolationError("functional is not invariant under the edge action")
+
+
+def _invariant_forms(graph: TrivalentGraph, forms):
+    """(rows, orbits, d) for the forms M / d of an invariant functional: the
+    integer rows of M, the orbits of their closure under the edge action,
+    and d.  A set that the closure leaves unchanged has an invariant minimum
+    by construction; any other set is checked exactly on fixed sample points
+    for every group element, and SymmetryViolationError is raised otherwise."""
+    rows, den = integer_forms(forms)
+    if any(len(row) != graph.num_edges for row in rows):
+        raise ValueError("forms must have one coefficient per edge")
+    orbits = _form_orbits(graph, rows)
+    if sum(map(len, orbits)) > len(set(rows)):
+        _check_symmetry(graph, rows)
+    return rows, orbits, den
 
 
 def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     """Normalized block expectation of a min-of-linear-forms functional,
     i.e. the integral against sigma_X divided by the block mass.
 
-    The functional must be invariant under the edge action.  A form set
-    closed under the action has an invariant minimum by construction; any
-    other set is checked exactly on fixed sample points for every group
-    element.  The forms are closed under the edge action, which leaves an
-    invariant minimum unchanged, and one cell per orbit is integrated:
-    E[min L] is the sum over orbits O of |O| times the integral of L_rep
-    over the cell where L_rep is minimal.  Raises ExactWorkLimitError when
-    the cells need more than EXACT_WORK_LIMIT rays and simplices.
+    The functional must be invariant under the edge action, as
+    ``_invariant_forms`` checks.  Closing the forms under the action leaves
+    the minimum unchanged, so E[min L] is the sum over the orbits O of |O|
+    times the integral of L_rep over the cell where L_rep is minimal.
+    Raises ExactWorkLimitError when the cells need more than
+    EXACT_WORK_LIMIT rays and simplices.
     """
-    forms = f.forms_for(graph) if isinstance(f, Functional) else tuple(f)
-    if not forms:
-        raise ValueError("need at least one linear form")
-    forms = tuple(tuple(Fraction(c) for c in form) for form in forms)
-    if any(len(form) != graph.num_edges for form in forms):
-        raise ValueError("forms must have one coefficient per edge")
-    orbits = _form_orbits(graph, forms)
+    forms = f.forms_for(graph) if isinstance(f, Functional) else f
+    _, orbits, den = _invariant_forms(graph, forms)
     closed = [form for orbit in orbits for form in orbit]
-    if len(closed) > len(set(forms)):
-        _check_symmetry(graph, forms)
     meter = _WorkMeter(graph)
     total = Fraction(0)
     for orbit in orbits:
-        rep = orbit[0]
-        others = [form for form in closed if form != rep]
-        total += len(orbit) * _cell_integral(rep, others, graph.num_edges, meter)
-    return total
+        total += len(orbit) * _cell_integral(orbit[0], closed, graph.num_edges, meter)
+    return total / den
 
 
 def quotient_integral(graph: TrivalentGraph, f) -> Fraction:

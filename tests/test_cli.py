@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import covermeasure
 from covermeasure import asymptotics, cli
 
 
@@ -168,6 +169,15 @@ def test_computation_errors_exit_1():
                                   "--lengths", "1,2,-3"])
         assert code == 1
         assert "positive" in err
+
+
+def test_library_errors_are_value_errors():
+    # the CLI turns ValueError into exit 1, so a library error class outside
+    # it would escape as a traceback
+    errors = [obj for obj in vars(covermeasure).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(errors) >= 9
+    assert all(issubclass(err, ValueError) for err in errors)
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

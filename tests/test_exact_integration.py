@@ -8,6 +8,7 @@ integrator; agreement is required within twice the mesh.
 import io
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ def test_forms_not_closed_under_edge_action():
     # the loop swap adds bar + loop1; the minimum is the bar throughout
     bar, bar_loop0 = (0, 0, 1), (1, 0, 1)
     assert M.integrate_exact(G.dumbbell(), [bar, bar_loop0]) == F(1, 3)
+
+
+def test_forms_with_different_denominators():
+    # each form has its own denominator, so the cells are cut out by rows
+    # over their common denominator
+    db = [(F(1, 2), F(0), F(1, 3)), (F(0), F(1, 2), F(1, 3)), (F(0), F(0), F(3, 5))]
+    assert M.integrate_exact(G.dumbbell(), db) == F(43, 279)
+    theta = sorted(set(permutations((F(1, 2), F(-1, 3), F(5, 7))))) + [(F(2, 9),) * 3]
+    assert M.integrate_exact(G.theta_graph(), theta) == F(6163, 452196)
 
 
 def test_cell_of_measure_zero():

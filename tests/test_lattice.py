@@ -179,7 +179,8 @@ def test_expectation_past_int64_uses_python_ints(monkeypatch):
 def _orbit_sum(graph, n_slices, f):
     """The normalized lattice expectation as the orbit-weighted sum."""
     points, mults = M._lattice_orbits(graph, n_slices)
-    values, den = FN.integer_minimum(f.forms_for(graph), points)
+    mat, den = FN.integer_matrix(f.forms_for(graph), n_slices)
+    values = FN.integer_minimum(mat, points)
     total = sum(m * v for m, v in zip(mults.tolist(), values.tolist()))
     return F(total, comb(n_slices - 1, graph.num_edges - 1) * den * n_slices)
 
@@ -201,6 +202,24 @@ def test_functional_expectation_builds_no_orbits(monkeypatch):
     for g in _types():
         for f, _ in SCALARS:
             M.lattice_sigma(g, 11).expectation(f)
+
+
+def test_closed_form_sets_need_no_test_points(monkeypatch):
+    # SYSTOLE's cycles are closed under the edge action, so their minimum is
+    # invariant without a check
+    def no_points(n_coords):
+        raise AssertionError("test points evaluated for a closed form set")
+
+    want = [M.lattice_sigma(g, 11).expectation(FN.SYSTOLE) for g in _types()]
+    monkeypatch.setattr(M, "_symmetry_test_points", no_points)
+    assert [M.lattice_sigma(g, 11).expectation(FN.SYSTOLE) for g in _types()] == want
+
+
+def test_wrong_length_forms_raise():
+    short = FN.Functional(name="short", scalar=None,
+                          forms_for=lambda graph: ((F(1), F(1)),))
+    with pytest.raises(ValueError, match="forms must have one coefficient per edge"):
+        M.lattice_sigma(G.theta_graph(), 9).expectation(short)
 
 
 def test_non_invariant_forms_raise():

@@ -123,6 +123,12 @@ def test_omega_zero_norm():
     assert total == 1 and hits == 0
 
 
+@pytest.mark.parametrize("n_norm", [-1, -5])
+def test_omega_counts_refuse_negative_norm(n_norm):
+    with pytest.raises(ValueError, match=f"N must be nonnegative, got {n_norm}"):
+        M.omega_counts(2, n_norm, lambda x: True)
+
+
 def test_omega_growth_ratio():
     # |Omega(K)| ~ K^(3k-4)/(3k-4)!
     for k_norm, tol in ((100, 0.05), (400, 0.02)):
@@ -172,10 +178,11 @@ def test_sampler_symmetry_kolmogorov_smirnov():
     assert res.pvalue > 0.001
 
 
-def test_sample_chunks_are_block_ordered_on_simplex():
+def test_sample_chunks_are_block_ordered_on_simplex(monkeypatch):
+    monkeypatch.setattr(M, "_SAMPLE_CHUNK", 3000)
     m3 = M.build_limit_measure(3)
     sizes = []
-    for idx, rows in M.sample_chunks(m3, 10_000, seed=4, chunk_size=3000):
+    for idx, rows in M.sample_chunks(m3, 10_000, seed=4):
         sizes.append(len(idx))
         assert rows.shape == (len(idx), 6)
         assert np.all(np.diff(idx) >= 0)

@@ -7,7 +7,6 @@ from .asymptotics import (
     SeriesDivergenceError,
     SyntheticEnsemble,
     SyntheticSubgroup,
-    UnsupportedRankError,
     crit_box_asymptotic,
     crit_count_asymptotic,
     expected_systole_line,

@@ -31,10 +31,6 @@ class SeriesDivergenceError(ValueError):
     """The exponent-weighted series diverges at this exponent (s <= 1)."""
 
 
-class UnsupportedRankError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CountingModel:
     genus: int
@@ -279,7 +275,8 @@ class SyntheticEnsemble:
         if not isinstance(f, functionals.Functional):
             return np.array(_pointwise(self, f), dtype=float)
         out = np.empty(len(self))
-        for b in np.unique(self.blocks):
+        # np.unique would also import numpy.ma, about 1 MB that is never used
+        for b in np.flatnonzero(np.bincount(self.blocks)):
             mask = self.blocks == b
             graph = self.graphs[b]
             if self.resolution is None:
@@ -299,7 +296,8 @@ def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.nda
     """min over the rational forms of form . counts / resolution, per row,
     correctly rounded to float."""
     top = int(resolution.max(initial=0))
-    mat, den = functionals.integer_matrix(forms, top)
+    rows, den = functionals.integer_forms(forms)
+    mat = functionals.integer_matrix(rows, top)
     # counts are positive and sum to the resolution, so no form value or
     # denominator exceeds max(|M|, den) * resolution: below 2^53 both are
     # exact floats, and one division rounds the exact ratio correctly
@@ -449,11 +447,9 @@ def _systole_slope(rank: int) -> Fraction:
 
 
 def expected_systole_line(length_bound, rank: int = 2):
-    """Leading-order expected systole at length bound L; (23/90) L for rank 2."""
-    if rank != 2:
-        raise UnsupportedRankError(
-            "only rank 2 is supported here; combine expectation() with L directly"
-        )
+    """Leading-order expected systole at length bound L: the exact E[systole]
+    of the rank-k limit measure times L, (23/90) L for rank 2.  Ranks the
+    exact integrator cannot reach raise ExactWorkLimitError."""
     if length_bound < 0:
         raise ValueError("length bound must be nonnegative")
-    return _systole_slope(2) * length_bound
+    return _systole_slope(rank) * length_bound

@@ -64,13 +64,13 @@ def form_minimum(forms_for: Callable, graph: TrivalentGraph,
     return (mat @ rows.T).min(axis=0) + low
 
 
-def integer_matrix(forms, norm: int) -> tuple[np.ndarray, int]:
-    """(M^T, d) for the forms M / d, int64 when max|M| * norm < 2^63 and
-    Python ints otherwise, so x @ M^T and sums of its entries stay exact
-    while the rows x summed have L1-norms adding up to at most ``norm``."""
-    rows, den = integer_forms(forms)
+def integer_matrix(rows, norm: int) -> np.ndarray:
+    """M^T for the integer rows M of ``integer_forms``, int64 when
+    max|M| * norm < 2^63 and Python ints otherwise, so x @ M^T and sums of
+    its entries stay exact while the rows x summed have L1-norms adding up
+    to at most ``norm``."""
     bound = max(abs(c) for row in rows for c in row) * norm
-    return np.array(rows, dtype=np.int64 if bound < 2 ** 63 else object).T, den
+    return np.array(rows, dtype=np.int64 if bound < 2 ** 63 else object).T
 
 
 def integer_minimum(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import islice, permutations, product
 
 # hashlib's own blake2b; importing hashlib would also load OpenSSL, which
 # adds about 3.6 MB of resident memory for nothing used here
@@ -121,6 +121,17 @@ class TrivalentGraph:
         return canonical_form(self).hex()
 
 
+def _links(edges, n):
+    """Per vertex, one (neighbour, edge index) pair for each non-loop edge
+    at it, in edge order."""
+    links = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        if u != v:
+            links[u].append((v, i))
+            links[v].append((u, i))
+    return links
+
+
 def _is_connected(edges, n) -> bool:
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -152,28 +163,21 @@ def _min_code(edges, n):
 
     Entry i lists, in sorted order, the smaller endpoints of all edges whose
     larger endpoint is i (a loop at i contributes i itself).  Backtracking
-    with prefix pruning; graphs here have at most 10 vertices.  The ties are
-    complete because the prune is strict: for a vertex automorphism sigma,
-    the labelling x -> lam0[sigma^-1[x]] has the same entry as lam0 at every
-    level, so it is never cut.  The ties are thus one per automorphism.
+    with prefix pruning, in which each unlabelled vertex keeps its labelled
+    neighbours' labels, pushed in ascending order, to which a loop adds the
+    current level.  The ties are complete because the prune is strict: for
+    a vertex automorphism sigma, the labelling x -> lam0[sigma^-1[x]] has
+    the same entry as lam0 at every level, so it is never cut.  The ties
+    are thus one per automorphism.
     """
-    mult = [[0] * n for _ in range(n)]
-    for u, v in edges:
-        mult[u][v] += 1
-        if u != v:
-            mult[v][u] += 1
-
+    links = _links(edges, n)
+    loops = [edges.count((x, x)) for x in range(n)]
+    labels = [[] for _ in range(n)]
+    new = [None] * n
     best: list[tuple[tuple[int, ...], ...] | None] = [None]
     ties: list[bytes] = []
 
-    def entry(x, assigned_new, level):
-        ent = [level] * mult[x][x]
-        for old, new in assigned_new.items():
-            ent.extend([new] * mult[x][old])
-        ent.sort()
-        return tuple(ent)
-
-    def rec(assigned_new, prefix):
+    def rec(prefix):
         level = len(prefix)
         if level == n:
             t = tuple(prefix)
@@ -181,22 +185,24 @@ def _min_code(edges, n):
                 best[0] = t
                 ties.clear()
             if t == best[0]:
-                ties.append(bytes(map(assigned_new.__getitem__, range(n))))
+                ties.append(bytes(new))
             return
-        cands = sorted(
-            (entry(x, assigned_new, level), x)
-            for x in range(n) if x not in assigned_new
-        )
+        cands = sorted((tuple(labels[x]) + (level,) * loops[x], x)
+                       for x in range(n) if new[x] is None)
         for ent, x in cands:
             if best[0] is not None and tuple(prefix) + (ent,) > best[0][:level + 1]:
                 break  # candidates are sorted: nothing further can beat best
-            assigned_new[x] = level
+            new[x] = level
+            for y, _ in links[x]:
+                labels[y].append(level)
             prefix.append(ent)
-            rec(assigned_new, prefix)
+            rec(prefix)
             prefix.pop()
-            del assigned_new[x]
+            for y, _ in links[x]:
+                labels[y].pop()
+            new[x] = None
 
-    rec({}, [])
+    rec([])
     return best[0], ties
 
 
@@ -504,72 +510,41 @@ def edge_action(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
 # bridges and cycles
 # ---------------------------------------------------------------------------
 
-def bridges_of_edges(edges, n) -> frozenset[int]:
+def bridges(graph: TrivalentGraph) -> frozenset[int]:
     """Indices of edges whose removal disconnects the graph: the edges on no
     simple cycle, so never a loop or one of a parallel pair."""
-    on_cycle = {e for cycle in simple_cycles_of_edges(edges, n) for e in cycle}
-    return frozenset(range(len(edges))) - on_cycle
-
-
-def bridges(graph: TrivalentGraph) -> frozenset[int]:
-    return bridges_of_edges(graph.edges, graph.num_vertices)
-
-
-def simple_cycles_of_edges(edges, n) -> tuple[tuple[int, ...], ...]:
-    """All simple cycles as sorted tuples of edge indices.
-
-    Loops are 1-cycles, parallel pairs are 2-cycles, and longer cycles are
-    found by DFS over vertex paths (smallest vertex first, direction fixed)
-    with every combination of parallel edges counted separately.
-    """
-    cycles = set()
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        if u == v:
-            cycles.add((i,))
-        else:
-            by_pair.setdefault((u, v), []).append(i)
-    for ids in by_pair.values():
-        for a, b in combinations(ids, 2):
-            cycles.add((a, b))
-
-    nbrs: dict[int, set[int]] = {x: set() for x in range(n)}
-    for (u, v) in by_pair:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-
-    def vertex_cycles_from(s):
-        # paths s -> ... -> t (all intermediate > s), closing back to s
-        found = []
-        path = [s]
-        onpath = {s}
-
-        def rec(x):
-            for y in sorted(nbrs[x]):
-                if y == s and len(path) >= 3:
-                    if path[1] < path[-1]:  # fix traversal direction
-                        found.append(list(path))
-                elif y > s and y not in onpath:
-                    path.append(y)
-                    onpath.add(y)
-                    rec(y)
-                    onpath.remove(y)
-                    path.pop()
-
-        rec(s)
-        return found
-
-    for s in range(n):
-        for vpath in vertex_cycles_from(s):
-            hops = list(zip(vpath, vpath[1:] + [vpath[0]]))
-            choices = [by_pair[(min(a, b), max(a, b))] for a, b in hops]
-            for combo in product(*choices):
-                cycles.add(tuple(sorted(combo)))
-    return tuple(sorted(cycles))
+    on_cycle = {e for cycle in simple_cycles(graph) for e in cycle}
+    return frozenset(range(graph.num_edges)) - on_cycle
 
 
 def simple_cycles(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
-    return simple_cycles_of_edges(graph.edges, graph.num_vertices)
+    """All simple cycles as sorted tuples of edge indices, in sorted order.
+
+    A loop is a cycle on its own.  Every other cycle is found once by a
+    walk over edges from its smallest vertex s through larger vertices
+    only, leaving s by a lower edge index than the one it returns by; so a
+    parallel pair is a 2-cycle like any other.
+    """
+    links = _links(graph.edges, graph.num_vertices)
+    cycles = [(i,) for i, (u, v) in enumerate(graph.edges) if u == v]
+    path: list[int] = []
+    on_path = set()
+
+    def walk(s, x):
+        for y, e in links[x]:
+            if y == s:
+                if e > path[0]:
+                    cycles.append(tuple(sorted(path + [e])))
+            elif y > s and y not in on_path:
+                on_path.add(y)
+                path.append(e)
+                walk(s, y)
+                path.pop()
+                on_path.remove(y)
+
+    for s in range(graph.num_vertices):
+        walk(s, s)
+    return tuple(sorted(cycles))
 
 
 # ---------------------------------------------------------------------------

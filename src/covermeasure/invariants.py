@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import InvalidGraphError, _is_connected, bridges_of_edges
+from .graphs import InvalidGraphError, _is_connected, bridges
 
 
 class InfeasibleGeometryError(ValueError):
@@ -86,7 +86,7 @@ def systole(mg):
 
 def separating_edge_indicator(mg) -> bool:
     """True iff the underlying graph has a separating (bridge) edge."""
-    return bool(bridges_of_edges(mg.graph.edges, mg.graph.num_vertices))
+    return bool(bridges(mg.graph))
 
 
 def min_edge_length(mg):

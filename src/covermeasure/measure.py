@@ -353,7 +353,7 @@ class EmpiricalMeasure:
         if not isinstance(f, Functional):
             return sum(w * f(mg) for mg, w in self.atoms) / self.total_mass
         rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph))
-        mat, _ = integer_matrix(rows, self.n_slices * self.count)
+        mat = integer_matrix(rows, self.n_slices * self.count)
         total = sum(int(integer_minimum(mat, chunk).sum())
                     for chunk in _composition_chunks(self.n_slices, self.graph.num_edges))
         return Fraction(total, self.count * den * self.n_slices)
@@ -576,7 +576,7 @@ def _symmetry_test_points(n_coords: int) -> list[list[int]]:
 def _check_symmetry(graph: TrivalentGraph, rows) -> None:
     points = _symmetry_test_points(graph.num_edges)
     images = np.array([permute(x) for permute in _permuters(graph) for x in points])
-    mat, _ = integer_matrix(rows, int(images.sum(axis=1).max()))
+    mat = integer_matrix(rows, int(images.sum(axis=1).max()))
     values = integer_minimum(mat, images).reshape(-1, len(points))
     # the identity is one of the permutations, so every row must match
     if (values != values[0]).any():

@@ -500,5 +500,4 @@ def test_expected_systole_line():
     assert A.expected_systole_line(0) == 0
     line = A.expected_systole_line(F(1))
     assert line == F(23, 90)
-    with pytest.raises(A.UnsupportedRankError):
-        A.expected_systole_line(10.0, rank=3)
+    assert A.expected_systole_line(10, rank=3) == F(317, 2250) * 10

@@ -176,7 +176,7 @@ def test_library_errors_are_value_errors():
     # it would escape as a traceback
     errors = [obj for obj in vars(covermeasure).values()
               if isinstance(obj, type) and issubclass(obj, Exception)]
-    assert len(errors) >= 9
+    assert len(errors) >= 8
     assert all(issubclass(err, ValueError) for err in errors)
 
 

@@ -285,6 +285,19 @@ def test_enumerated_groups_against_naive_search(k, relabel):
         assert len(set(mine)) == len(mine)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_min_code_ignores_edge_order(k):
+    # candidate edge lists reach the search unsorted
+    rng = random.Random(k)
+    for i, g in enumerate(G.enumerate_trivalent(k)):
+        edges = list(relabelled(g, seed=i).edges)
+        rng.shuffle(edges)
+        code, ties = G._min_code(edges, g.num_vertices)
+        want_code, want_ties = G._min_code(sorted(edges), g.num_vertices)
+        assert code == want_code
+        assert set(ties) == set(want_ties)
+
+
 def test_stored_ties_are_the_canonical_search_ties():
     for g in G.enumerate_trivalent(4):
         assert set(G._codes[g][1]) == set(G._min_code(g.edges, g.num_vertices)[1])

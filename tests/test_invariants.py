@@ -81,6 +81,21 @@ def test_systole_matches_subset_oracle(k):
             assert mine == ref
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_simple_cycles_match_subset_oracle(k):
+    # the walk's direction rule reads edge indices, so each type is also
+    # checked relabelled with its edge list shuffled
+    rng = random.Random(k)
+    for g in G.enumerate_trivalent(k):
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        edges = [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges]
+        rng.shuffle(edges)
+        for graph in (g, G.TrivalentGraph(tuple(edges))):
+            assert G.simple_cycles(graph) \
+                == tuple(sorted(subset_cycles(graph.edges, graph.num_vertices)))
+
+
 def test_systole_invariant_under_edge_action():
     rng = random.Random(7)
     for g in G.enumerate_trivalent(3):

@@ -166,10 +166,10 @@ def test_expectation_past_int64_uses_python_ints(monkeypatch):
     dtypes = {}
     integer_matrix = M.integer_matrix
 
-    def spy(forms, norm):
-        mat, den = integer_matrix(forms, norm)
+    def spy(rows, norm):
+        mat = integer_matrix(rows, norm)
         dtypes[norm] = mat.dtype
-        return mat, den
+        return mat
 
     monkeypatch.setattr(M, "integer_matrix", spy)
     assert sigma.expectation(big) == want
@@ -179,7 +179,8 @@ def test_expectation_past_int64_uses_python_ints(monkeypatch):
 def _orbit_sum(graph, n_slices, f):
     """The normalized lattice expectation as the orbit-weighted sum."""
     points, mults = M._lattice_orbits(graph, n_slices)
-    mat, den = FN.integer_matrix(f.forms_for(graph), n_slices)
+    rows, den = FN.integer_forms(f.forms_for(graph))
+    mat = FN.integer_matrix(rows, n_slices)
     values = FN.integer_minimum(mat, points)
     total = sum(m * v for m, v in zip(mults.tolist(), values.tolist()))
     return F(total, comb(n_slices - 1, graph.num_edges - 1) * den * n_slices)

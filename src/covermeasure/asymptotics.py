@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -37,10 +38,12 @@ class CountingModel:
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 2:
+        if not isinstance(self.genus, Integral) or isinstance(self.genus, bool) or self.genus < 2:
             raise ValueError(f"genus must be an integer >= 2, got {self.genus!r}")
-        if not isinstance(self.rank, int) or self.rank < 2:
+        if not isinstance(self.rank, Integral) or isinstance(self.rank, bool) or self.rank < 2:
             raise ValueError(f"rank must be an integer >= 2, got {self.rank!r}")
+        object.__setattr__(self, "genus", int(self.genus))
+        object.__setattr__(self, "rank", int(self.rank))
 
     @cached_property
     def sum_inv_aut(self) -> Fraction:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations, product
+from numbers import Integral
 
 # hashlib's own blake2b; importing hashlib would also load OpenSSL, which
 # adds about 3.6 MB of resident memory for nothing used here
@@ -162,47 +163,54 @@ def _min_code(edges, n):
     of vertex x.
 
     Entry i lists, in sorted order, the smaller endpoints of all edges whose
-    larger endpoint is i (a loop at i contributes i itself).  Backtracking
-    with prefix pruning, in which each unlabelled vertex keeps its labelled
-    neighbours' labels, pushed in ascending order, to which a loop adds the
-    current level.  The ties are complete because the prune is strict: for
-    a vertex automorphism sigma, the labelling x -> lam0[sigma^-1[x]] has
-    the same entry as lam0 at every level, so it is never cut.  The ties
-    are thus one per automorphism.
+    larger endpoint is i (a loop at i contributes i itself).  Each vertex
+    keeps its entry, extended as its neighbours are labelled.  A node
+    branches on the vertices of least entry, and while tight (prefix equal
+    to the best code's) it is cut if that entry exceeds the best's.  A node
+    not tight finds a new best below its first child, so after any child it
+    is tight with the least entry: it visits the nodes of a search over all
+    vertices in order of entry.  The prune is strict, so there is one tie
+    per automorphism sigma: x -> lam0[sigma^-1[x]] matches lam0 throughout.
     """
     links = _links(edges, n)
-    loops = [edges.count((x, x)) for x in range(n)]
-    labels = [[] for _ in range(n)]
-    new = [None] * n
-    best: list[tuple[tuple[int, ...], ...] | None] = [None]
+    loop = [(x, x) in edges for x in range(n)]
+    ent_of = [()] * n
+    free = list(range(n))
+    new = [0] * n
+    prefix = []
+    best = [()]
     ties: list[bytes] = []
 
-    def rec(prefix):
-        level = len(prefix)
+    def rec(level, tight):
         if level == n:
-            t = tuple(prefix)
-            if best[0] is None or t < best[0]:
-                best[0] = t
+            if not tight:
+                best[0] = tuple(prefix)
                 ties.clear()
-            if t == best[0]:
-                ties.append(bytes(new))
+            ties.append(bytes(new))
             return
-        cands = sorted((tuple(labels[x]) + (level,) * loops[x], x)
-                       for x in range(n) if new[x] is None)
-        for ent, x in cands:
-            if best[0] is not None and tuple(prefix) + (ent,) > best[0][:level + 1]:
-                break  # candidates are sorted: nothing further can beat best
+        lv = (level,)
+        ents = [ent_of[x] + lv if loop[x] else ent_of[x] for x in free]
+        least = min(ents)
+        if tight:
+            if least > best[0][level]:
+                return
+            tight = least == best[0][level]
+        prefix.append(least)
+        for i, ent in enumerate(ents):
+            if ent != least:
+                continue
+            x = free.pop(i)
             new[x] = level
             for y, _ in links[x]:
-                labels[y].append(level)
-            prefix.append(ent)
-            rec(prefix)
-            prefix.pop()
+                ent_of[y] += lv
+            rec(level + 1, tight)
             for y, _ in links[x]:
-                labels[y].pop()
-            new[x] = None
+                ent_of[y] = ent_of[y][:-1]
+            free.insert(i, x)
+            tight = True
+        prefix.pop()
 
-    rec([])
+    rec(0, False)
     return best[0], ties
 
 
@@ -415,10 +423,10 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
 
     Completeness is certified against the mass formula on every call that
     computes the list.  The rank is capped by the COVERMEASURE_MAX_RANK
-    environment variable (default 6): rank 6 takes seconds, and rank 7
-    (2,592 types) takes minutes, almost all of it canonical labelling.
+    environment variable (default 6).  On 2 vCPUs rank 7 (2,592 types)
+    takes 45 s: keys 20 s, canonical search 15 to 21 s, the rest 7 s.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+    if not isinstance(k, Integral) or isinstance(k, bool) or k < 2:
         raise InvalidRankError(f"rank must be an integer >= 2, got {k!r}")
     cap = max_enumeration_rank()
     if k > cap:
@@ -426,7 +434,7 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
             f"rank {k} exceeds the enumeration cap {cap} "
             f"(set {_MAX_RANK_ENV} to raise it)"
         )
-    return _enumerate(k)
+    return _enumerate(int(k))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_model_validation():
         A.CountingModel(genus=1, rank=2)
     with pytest.raises(ValueError):
         A.CountingModel(genus=2, rank=1)
+    with pytest.raises(ValueError):
+        A.CountingModel(genus=2, rank=True)
+
+
+def test_model_accepts_numpy_integers():
+    m = A.CountingModel(genus=np.int64(2), rank=np.int64(2))
+    assert m == A.CountingModel(genus=2, rank=2)
+    assert type(m.genus) is int and type(m.rank) is int
 
 
 def test_huber_count():

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,13 @@ def brute_canonical(edges, n):
         tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
         for p in permutations(range(n))
     )
+
+
+def level_code(edges, lam, n):
+    """The level code of the labelling x -> lam[x]: entry i lists, sorted,
+    the smaller new endpoint of every edge whose larger one is i."""
+    ends = [sorted((lam[u], lam[v])) for u, v in edges]
+    return tuple(tuple(sorted(a for a, b in ends if b == i)) for i in range(n))
 
 
 def naive_classes(n):
@@ -219,6 +227,12 @@ def test_invalid_rank_rejected():
         G.enumerate_trivalent(0)
 
 
+def test_numpy_integer_rank_accepted():
+    assert G.enumerate_trivalent(np.int64(3)) is G.enumerate_trivalent(3)
+    with pytest.raises(G.InvalidRankError):
+        G.enumerate_trivalent(True)
+
+
 def test_rank_cap_env(monkeypatch):
     monkeypatch.setenv("COVERMEASURE_MAX_RANK", "2")
     with pytest.raises(G.InvalidRankError):
@@ -296,6 +310,25 @@ def test_min_code_ignores_edge_order(k):
         want_code, want_ties = G._min_code(sorted(edges), g.num_vertices)
         assert code == want_code
         assert set(ties) == set(want_ties)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_min_code_against_every_labelling(k):
+    # the search's prune rules against the definition: the minimum of the
+    # level code over all n! labellings, and every labelling attaining it
+    rng = random.Random(k)
+    for i, g in enumerate(G.enumerate_trivalent(k)):
+        shuffled = list(relabelled(g, seed=i).edges)
+        rng.shuffle(shuffled)
+        for edges in (g.edges, shuffled):
+            n = g.num_vertices
+            codes = {bytes(lam): level_code(edges, lam, n)
+                     for lam in permutations(range(n))}
+            want = min(codes.values())
+            code, ties = G._min_code(edges, n)
+            assert code == want
+            assert len(ties) == len(set(ties))
+            assert set(ties) == {lam for lam, c in codes.items() if c == want}
 
 
 def test_stored_ties_are_the_canonical_search_ties():

@@ -286,49 +286,23 @@ def graph_from_canonical_form(blob: bytes) -> TrivalentGraph:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _candidate_edge_lists(n):
-    """Connected cubic multigraphs on n vertices, in first-seen labelings.
+def _children(edges, n):
+    """The C(E+1, 2) + E edge lists of rank k+1 that ``_enumerate`` grows
+    from a graph of rank k with E edges on n vertices, as sorted pairs.
 
-    The active vertex is always the lowest one with remaining degree; while
-    it stays active its targets are chosen in non-decreasing order, and a
-    previously untouched target must be the lowest untouched index.  Every
-    isomorphism class shows up (possibly several times), one edge list at a
-    time; classes are separated afterwards.
+    The new vertices are a = n and b = n + 1.  Per edge u-v: u-a, a-b, a-b,
+    b-v (subdivided twice, joined again), then u-a, v-a, a-b and a loop at
+    b; per pair of edges i < j: i subdivided at a, j at b, and a-b.
     """
-    rem = [3] * n
-    edges: list[tuple[int, int]] = []
-
-    def rec(last_active, last_floor):
-        v = next((i for i in range(n) if rem[i] > 0), None)
-        if v is None:
-            yield tuple(edges)
-            return
-        if rem[v] == 3 and v > 0:
-            return  # the component built so far is closed: disconnected
-        floor = last_floor if v == last_active else v
-        first_fresh = next((u for u in range(v + 1, n) if rem[u] == 3), None)
-        for u in range(floor, n):
-            if u == v:
-                if rem[v] >= 2:
-                    rem[v] -= 2
-                    edges.append((v, v))
-                    yield from rec(v, v)
-                    edges.pop()
-                    rem[v] += 2
-                continue
-            if rem[u] == 0:
-                continue
-            if rem[u] == 3 and u != first_fresh:
-                continue
-            rem[v] -= 1
-            rem[u] -= 1
-            edges.append((v, u))
-            yield from rec(v, u)
-            edges.pop()
-            rem[v] += 1
-            rem[u] += 1
-
-    return rec(0, 0)
+    a, b = n, n + 1
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        yield tuple(sorted(rest + ((u, a), (a, b), (a, b), (v, b))))
+        yield tuple(sorted(rest + ((u, a), (v, a), (a, b), (b, b))))
+        for j in range(i, len(rest)):
+            x, y = rest[j]
+            yield tuple(sorted(rest[:j] + rest[j + 1:]
+                               + ((u, a), (v, a), (a, b), (x, b), (y, b))))
 
 
 # Candidates keyed per numpy batch: 64 is as fast per candidate as 256 and
@@ -393,13 +367,26 @@ def max_enumeration_rank() -> int:
 def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     """One graph per class, canonicalised once per invariant key.
 
+    The candidates at rank k >= 3 are the ``_children`` of the rank-(k-1)
+    classes: per edge pair, subdivide both edges (an edge twice, when the
+    pair is one edge) and join the new vertices; per edge, subdivide it and
+    hang a new vertex with a loop there.  Every class arises: remove a
+    non-loop edge that is no bridge and smooth its ends, and a rank-(k-1)
+    graph remains.  If every non-loop edge is a bridge, the graph without
+    its loops is a tree; a leaf of it carries a loop, and removing both and
+    smoothing leaves one too.  Rank 2 keys the dumbbell and the theta graph.
+
     Different keys are never isomorphic, so each class is counted at most
     once; the sum of 1/|Aut| over the classes then equals the mass formula
     exactly when every class was found.
     """
     n = 2 * k - 2
+    if k == 2:
+        candidates = iter((dumbbell().edges, theta_graph().edges))
+    else:
+        candidates = (child for g in _enumerate(k - 1)
+                      for child in _children(g.edges, n - 2))
     reps: dict[bytes, tuple] = {}
-    candidates = _candidate_edge_lists(n)
     for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
         for key, cand in zip(_invariant_keys(chunk, n), chunk):
             reps.setdefault(key, cand)
@@ -423,8 +410,10 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
 
     Completeness is certified against the mass formula on every call that
     computes the list.  The rank is capped by the COVERMEASURE_MAX_RANK
-    environment variable (default 6).  On 2 vCPUs rank 7 (2,592 types)
-    takes 45 s: keys 20 s, canonical search 15 to 21 s, the rest 7 s.
+    environment variable (default 6); the cap holds for k, not for the
+    lower ranks that k is grown from.  On 2 vCPUs rank 7 (2,592 types)
+    takes 24 to 26 s: keys for its 52,380 candidates 4 to 5 s, canonical
+    search 16 to 19 s, the rest 3 s.
     """
     if not isinstance(k, Integral) or isinstance(k, bool) or k < 2:
         raise InvalidRankError(f"rank must be an integer >= 2, got {k!r}")
@@ -441,7 +430,9 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# slots: enumeration keeps the group of every class it certifies, down to
+# rank 2, so a rank-4 mixture holds about 670 of these
+@dataclass(frozen=True, slots=True)
 class GraphAutomorphism:
     """Dart-level symmetry: commutes with the edge pairing and maps vertex
     dart-triples to vertex dart-triples.  Loop reversal is nontrivial here."""

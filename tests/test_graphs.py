@@ -126,12 +126,57 @@ def test_enumeration_matches_naive_oracle_rank3():
     assert len(oracle) == 5
 
 
+def _candidate_edge_lists(n):
+    """Connected cubic multigraphs on n vertices, in first-seen labelings.
+
+    The active vertex is always the lowest one with remaining degree; while
+    it stays active its targets are chosen in non-decreasing order, and a
+    previously untouched target must be the lowest untouched index.  Every
+    isomorphism class shows up (possibly several times), one edge list at a
+    time; classes are separated afterwards.
+    """
+    rem = [3] * n
+    edges: list[tuple[int, int]] = []
+
+    def rec(last_active, last_floor):
+        v = next((i for i in range(n) if rem[i] > 0), None)
+        if v is None:
+            yield tuple(edges)
+            return
+        if rem[v] == 3 and v > 0:
+            return  # the component built so far is closed: disconnected
+        floor = last_floor if v == last_active else v
+        first_fresh = next((u for u in range(v + 1, n) if rem[u] == 3), None)
+        for u in range(floor, n):
+            if u == v:
+                if rem[v] >= 2:
+                    rem[v] -= 2
+                    edges.append((v, v))
+                    yield from rec(v, v)
+                    edges.pop()
+                    rem[v] += 2
+                continue
+            if rem[u] == 0:
+                continue
+            if rem[u] == 3 and u != first_fresh:
+                continue
+            rem[v] -= 1
+            rem[u] -= 1
+            edges.append((v, u))
+            yield from rec(v, u)
+            edges.pop()
+            rem[v] += 1
+            rem[u] += 1
+
+    return rec(0, 0)
+
+
 def exhaustive_enumeration(k):
     """Every candidate canonicalised, one class per minimal code, in code
     order: no invariant keys and no certificate."""
     n = 2 * k - 2
     seen = {}
-    for cand in G._candidate_edge_lists(n):
+    for cand in _candidate_edge_lists(n):
         code, _ = G._min_code(cand, n)
         if code not in seen:
             seen[code] = G.TrivalentGraph(G._edges_from_code(code))
@@ -168,7 +213,9 @@ def test_mass_formula_values():
 
 def test_certificate_rejects_merged_classes(monkeypatch):
     # one key for every candidate keeps a single class of the five; the
-    # uncached function leaves the enumerations cached for later tests
+    # uncached function leaves the enumerations cached for later tests.
+    # Rank 3 grows from rank 2, so rank 2 is enumerated before the patch.
+    G.enumerate_trivalent(2)
     monkeypatch.setattr(G, "_invariant_keys", lambda chunk, n: [b""] * len(chunk))
     with pytest.raises(G.EnumerationCertificateError,
                        match=r"rank 3: the 1 classes .* short of the mass "
@@ -246,6 +293,27 @@ def test_rank_cap_env_rejects_non_integer(monkeypatch):
     with pytest.raises(G.InvalidRankError, match="COVERMEASURE_MAX_RANK.*'abc'"):
         G.enumerate_trivalent(2)
 
+
+
+@pytest.mark.parametrize("k, total", [(2, 18), (3, 135), (4, 918), (5, 6390)])
+def test_children_of_each_class(k, total):
+    count = 0
+    for g in G.enumerate_trivalent(k):
+        e = g.num_edges
+        children = list(G._children(g.edges, g.num_vertices))
+        assert len(children) == (e + 1) * e // 2 + e
+        # the constructor checks sorted pairs, degrees and connectivity
+        assert all(G.TrivalentGraph(c).rank == k + 1 for c in children)
+        assert all(list(c) == sorted(c) for c in children)
+        count += len(children)
+    assert count == total
+
+
+def test_rank_cap_applies_to_requested_rank_only(monkeypatch):
+    monkeypatch.setenv("COVERMEASURE_MAX_RANK", "4")
+    assert len(G.enumerate_trivalent(4)) == 17
+    with pytest.raises(G.InvalidRankError):
+        G.enumerate_trivalent(5)
 
 # --- automorphism groups -----------------------------------------------------
 

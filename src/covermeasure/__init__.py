@@ -21,7 +21,6 @@ from .asymptotics import (
 from .functionals import BRIDGE, FUNCTIONALS, MINEDGE, SYSTOLE, Functional, get_functional
 from .graphs import (
     EnumerationCertificateError,
-    GraphAutomorphism,
     InvalidGraphError,
     InvalidRankError,
     TrivalentGraph,

@@ -177,7 +177,7 @@ def _cmd_invariant(args):
     elif args.functional == "minedge":
         value = min(lengths)
     else:
-        value = Fraction(1 if graphs.bridges(graph) else 0)
+        value = Fraction(invariants.bridge_indicator(graph))
     rec = {"value": float(value)}
     if isinstance(value, (Fraction, int)):
         rec.update(_rational_fields(Fraction(value)))

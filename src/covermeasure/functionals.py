@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import invariants
-from .graphs import TrivalentGraph, bridges, simple_cycles
+from .graphs import TrivalentGraph, simple_cycles
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(forms)
 
 
-def _bridge_constant(graph: TrivalentGraph) -> int:
-    return 1 if bridges(graph) else 0
+_bridge_constant = invariants.bridge_indicator
 
 
 def _bridge_forms(graph: TrivalentGraph):

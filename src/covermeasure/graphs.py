@@ -134,18 +134,13 @@ def _links(edges, n):
 
 
 def _is_connected(edges, n) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+    links = _links(edges, n)
     seen = [False] * n
     stack = [0]
     seen[0] = True
     count = 1
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y, _ in links[stack.pop()]:
             if not seen[y]:
                 seen[y] = True
                 count += 1
@@ -229,8 +224,8 @@ def _edges_from_code(code):
     return tuple(sorted(edges))
 
 
-# _min_code of the graphs already in canonical labelling, seeded by
-# enumeration and canonical_graph, so a type is searched once per process.
+# _min_code of the graphs already in canonical labelling, written by
+# _code_of and canonical_graph, so a type is searched once per process.
 # The ties of a canonical labelling are its vertex automorphisms.  Other
 # labellings are not stored: the cache holds one entry per class, however
 # many relabelled inputs pass through.
@@ -390,10 +385,8 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
         for key, cand in zip(_invariant_keys(chunk, n), chunk):
             reps.setdefault(key, cand)
-    searched = sorted(_min_code(cand, n) for cand in reps.values())
-    found = tuple(TrivalentGraph(_edges_from_code(code)) for code, _ in searched)
-    _codes.update((g, (code, _canonical_ties(ties)))
-                  for g, (code, ties) in zip(found, searched))
+    found = [canonical_graph(TrivalentGraph(cand)) for cand in reps.values()]
+    found = tuple(sorted(found, key=lambda g: _code_of(g)[0]))
     total = sum(Fraction(1, len(automorphism_group(g))) for g in found)
     want = mass_formula(k)
     if total != want:
@@ -430,37 +423,14 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-# slots: enumeration keeps the group of every class it certifies, down to
-# rank 2, so a rank-4 mixture holds about 670 of these
-@dataclass(frozen=True, slots=True)
-class GraphAutomorphism:
-    """Dart-level symmetry: commutes with the edge pairing and maps vertex
-    dart-triples to vertex dart-triples.  Loop reversal is nontrivial here."""
-
-    dart_permutation: tuple[int, ...]
-
-    @property
-    def edge_permutation(self) -> tuple[int, ...]:
-        return tuple(self.dart_permutation[2 * i] // 2
-                     for i in range(len(self.dart_permutation) // 2))
-
-    def is_edge_trivial(self) -> bool:
-        perm = self.edge_permutation
-        return all(p == i for i, p in enumerate(perm))
-
-
-def compose(a: GraphAutomorphism, b: GraphAutomorphism) -> GraphAutomorphism:
-    """a after b on darts."""
-    return GraphAutomorphism(tuple(a.dart_permutation[d] for d in b.dart_permutation))
-
-
-def identity_automorphism(graph: TrivalentGraph) -> GraphAutomorphism:
-    return GraphAutomorphism(tuple(range(2 * graph.num_edges)))
-
-
 @lru_cache(maxsize=None)
-def automorphism_group(graph: TrivalentGraph) -> tuple[GraphAutomorphism, ...]:
-    """The full automorphism group as dart permutations.
+def automorphism_group(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
+    """The full automorphism group as dart permutations, sorted.
+
+    Darts 2i and 2i+1 belong to edge i = (u, v), at u and at v.  A dart
+    permutation is an automorphism when it commutes with the edge pairing
+    2i <-> 2i+1 and maps the three darts at each vertex onto the three
+    darts at one vertex; reversing a loop is a nontrivial automorphism.
 
     The vertex automorphisms sigma[x] = lam0^-1[lam[x]] come from the ties
     lam of the canonical search.  Each preserves edge multiplicities, so it
@@ -490,18 +460,20 @@ def automorphism_group(graph: TrivalentGraph) -> tuple[GraphAutomorphism, ...]:
             for src, images, flip in lift:
                 for e, f in zip(src, images):
                     perm[2 * e], perm[2 * e + 1] = 2 * f + flip, 2 * f + 1 - flip
-            auts.append(GraphAutomorphism(tuple(perm)))
-    return tuple(sorted(auts, key=lambda a: a.dart_permutation))
+            auts.append(tuple(perm))
+    return tuple(sorted(auts))
 
 
-def triv_subgroup(graph: TrivalentGraph) -> tuple[GraphAutomorphism, ...]:
-    """Automorphisms acting trivially on edge lengths (edge reversals allowed)."""
-    return tuple(a for a in automorphism_group(graph) if a.is_edge_trivial())
+def triv_subgroup(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms acting trivially on edge lengths: each maps dart 2i to
+    2i or 2i+1 (edge reversals allowed)."""
+    return tuple(a for a in automorphism_group(graph)
+                 if all(a[d] // 2 == d // 2 for d in range(0, len(a), 2)))
 
 
 def edge_action(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
     """Image of the automorphism group on edges, as a set of permutations."""
-    perms = {a.edge_permutation for a in automorphism_group(graph)}
+    perms = {tuple(d // 2 for d in a[::2]) for a in automorphism_group(graph)}
     return tuple(sorted(perms))
 
 
@@ -509,6 +481,7 @@ def edge_action(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
 # bridges and cycles
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def bridges(graph: TrivalentGraph) -> frozenset[int]:
     """Indices of edges whose removal disconnects the graph: the edges on no
     simple cycle, so never a loop or one of a parallel pair."""

@@ -84,9 +84,14 @@ def systole(mg):
     return systole_from_lengths(mg.graph.edges, mg.lengths)
 
 
+def bridge_indicator(graph) -> int:
+    """1 if the graph has a separating (bridge) edge, else 0."""
+    return 1 if bridges(graph) else 0
+
+
 def separating_edge_indicator(mg) -> bool:
     """True iff the underlying graph has a separating (bridge) edge."""
-    return bool(bridges(mg.graph))
+    return bool(bridge_indicator(mg.graph))
 
 
 def min_edge_length(mg):

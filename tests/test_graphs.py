@@ -109,6 +109,15 @@ def naive_automorphisms(graph):
     return results
 
 
+def compose(a, b):
+    """The dart permutation a after b."""
+    return tuple(a[d] for d in b)
+
+
+def identity_automorphism(graph):
+    return tuple(range(2 * graph.num_edges))
+
+
 # --- enumeration against the naive generator --------------------------------
 
 def test_enumeration_matches_naive_oracle_rank2():
@@ -336,7 +345,7 @@ def test_theta_symmetries():
 
 def test_k4_symmetries_against_naive_search():
     k4 = G.complete_graph_k4()
-    mine = {a.dart_permutation for a in G.automorphism_group(k4)}
+    mine = set(G.automorphism_group(k4))
     assert mine == naive_automorphisms(k4)
     assert len(mine) == 24
     assert len(G.triv_subgroup(k4)) == 1
@@ -352,7 +361,7 @@ def relabelled(graph, seed):
 
 @pytest.mark.parametrize("graph", [G.dumbbell(), G.theta_graph()])
 def test_small_groups_against_naive_search(graph):
-    mine = {a.dart_permutation for a in G.automorphism_group(graph)}
+    mine = set(G.automorphism_group(graph))
     assert mine == naive_automorphisms(graph)
 
 
@@ -363,8 +372,20 @@ def test_enumerated_groups_against_naive_search(k, relabel):
     for i, g in enumerate(G.enumerate_trivalent(k)):
         graph = relabelled(g, seed=i) if relabel else g
         mine = G.automorphism_group(graph)
-        assert {a.dart_permutation for a in mine} == naive_automorphisms(graph)
+        assert set(mine) == naive_automorphisms(graph)
         assert len(set(mine)) == len(mine)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_triv_subgroup_and_edge_action_against_naive_search(k):
+    for g in G.enumerate_trivalent(k):
+        naive = naive_automorphisms(g)
+        edge_images = {p: tuple(p[2 * i] // 2 for i in range(g.num_edges))
+                       for p in naive}
+        identity = tuple(range(g.num_edges))
+        assert G.triv_subgroup(g) == tuple(sorted(
+            p for p, image in edge_images.items() if image == identity))
+        assert G.edge_action(g) == tuple(sorted(set(edge_images.values())))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -418,7 +439,7 @@ def test_groups_of_enumerated_graphs_run_no_search(monkeypatch):
 def test_group_structure(k):
     for g in G.enumerate_trivalent(k):
         auts = G.automorphism_group(g)
-        assert G.identity_automorphism(g) in auts
+        assert identity_automorphism(g) in auts
         n_aut, n_triv = len(auts), len(G.triv_subgroup(g))
         assert n_aut % n_triv == 0
         assert len(G.edge_action(g)) * n_triv == n_aut
@@ -430,15 +451,14 @@ def test_group_closure(k):
         auts = set(G.automorphism_group(g))
         for a in auts:
             for b in auts:
-                assert G.compose(a, b) in auts
+                assert compose(a, b) in auts
 
 
 def test_automorphisms_commute_with_pairing():
     for g in G.enumerate_trivalent(3):
         pairing = g.edge_pairing
         vod = g.vertex_of_dart
-        for a in G.automorphism_group(g):
-            perm = a.dart_permutation
+        for perm in G.automorphism_group(g):
             assert all(perm[pairing[d]] == pairing[perm[d]]
                        for d in range(len(perm)))
             image = {}
@@ -482,6 +502,18 @@ def test_bridges_examples():
 def test_bridges_against_naive_check(k):
     for g in G.enumerate_trivalent(k):
         assert G.bridges(g) == naive_bridges(g.edges, g.num_vertices)
+
+
+def test_bridges_cached_per_graph(monkeypatch):
+    calls = []
+    cycles = G.simple_cycles
+    monkeypatch.setattr(G, "simple_cycles", lambda g: calls.append(g) or cycles(g))
+    G.bridges.cache_clear()
+    g = G.complete_graph_k4()
+    first = G.bridges(g)
+    assert calls == [g]
+    assert G.bridges(g) is first
+    assert calls == [g]
 
 
 # --- canonical forms ----------------------------------------------------------

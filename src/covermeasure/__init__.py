@@ -43,7 +43,6 @@ from .invariants import (
     matrix_pants_oracle,
     min_edge_length,
     pants_boundary_from_dumbbell,
-    separating_edge_indicator,
     separating_orthogeodesic_length,
     systole,
     systole_from_lengths,
@@ -61,11 +60,9 @@ from .measure import (
     expectation,
     integrate_exact,
     integrate_mc,
-    lattice_points,
     lattice_sigma,
     omega_counts,
     quotient_integral,
-    sample,
     sample_many,
 )
 

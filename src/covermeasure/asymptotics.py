@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from . import functionals
-from .graphs import TrivalentGraph, mass_formula
+from .graphs import TrivalentGraph, _is_integer, mass_formula
 from .measure import (
     _FLOAT_VOLUME_TOL,
     MetricGraph,
@@ -32,15 +31,33 @@ class SeriesDivergenceError(ValueError):
     """The exponent-weighted series diverges at this exponent (s <= 1)."""
 
 
+def _check_genus(genus) -> None:
+    if not _is_integer(genus) or genus < 2:
+        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
+
+
+def _finite_count(length_bound: float, count) -> float:
+    """count(L) at a positive finite length bound L.  A count past the
+    float range raises OverflowError naming L, instead of returning inf."""
+    if not 0 < length_bound < math.inf:
+        raise ValueError(f"length bound must be positive and finite, got {length_bound!r}")
+    try:
+        value = count(length_bound)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"the count at L = {length_bound!r} is past the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class CountingModel:
     genus: int
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.genus, Integral) or isinstance(self.genus, bool) or self.genus < 2:
-            raise ValueError(f"genus must be an integer >= 2, got {self.genus!r}")
-        if not isinstance(self.rank, Integral) or isinstance(self.rank, bool) or self.rank < 2:
+        _check_genus(self.genus)
+        if not _is_integer(self.rank) or self.rank < 2:
             raise ValueError(f"rank must be an integer >= 2, got {self.rank!r}")
         object.__setattr__(self, "genus", int(self.genus))
         object.__setattr__(self, "rank", int(self.rank))
@@ -80,50 +97,46 @@ class CountingModel:
 
     def count_function_log(self, t: float) -> float:
         """log of the model counting function N(t) = c t^(3k-4) e^t."""
-        if t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {t!r}")
         return math.log(self.c) + (3 * self.rank - 4) * math.log(t) + t
 
 
 def huber_count(length_bound: float) -> float:
     """Closed-geodesic count model e^L / (2L)."""
-    if length_bound <= 0:
-        raise ValueError("length bound must be positive")
-    return math.exp(length_bound) / (2.0 * length_bound)
+    return _finite_count(length_bound, lambda l: math.exp(l) / (2.0 * l))
 
 
 def subgroup_count_asymptotic(model: CountingModel, length_bound: float) -> float:
     """c_{g,k} L^(3k-4) e^L."""
-    if length_bound <= 0:
-        raise ValueError("length bound must be positive")
     k = model.rank
-    return model.c * length_bound ** (3 * k - 4) * math.exp(length_bound)
+    return _finite_count(length_bound, lambda l: model.c * l ** (3 * k - 4) * math.exp(l))
 
 
 def crit_count_asymptotic(graph: TrivalentGraph, genus: int,
                           length_bound: float) -> float:
     """Per-type count (2/3)^(3 chi) vol(T1)^chi / (-3 chi - 1)! L^(-3 chi -1) e^L."""
-    if genus < 2 or length_bound <= 0:
-        raise ValueError("need genus >= 2 and a positive length bound")
+    _check_genus(genus)
     chi = graph.euler_characteristic
     vol_t1 = 8.0 * math.pi ** 2 * (genus - 1)
-    return (
+    return _finite_count(length_bound, lambda l: (
         (2.0 / 3.0) ** (3 * chi)
         * vol_t1 ** chi
         / math.factorial(-3 * chi - 1)
-        * length_bound ** (-3 * chi - 1)
-        * math.exp(length_bound)
-    )
+        * l ** (-3 * chi - 1)
+        * math.exp(l)
+    ))
 
 
 def crit_box_asymptotic(graph: TrivalentGraph, genus: int, corner, h: float) -> float:
     """Count of critical maps in an edge-length box of side h at the given
     corner; depends on the corner only through its L1-norm."""
-    if genus < 2 or h <= 0:
-        raise ValueError("need genus >= 2 and h > 0")
+    _check_genus(genus)
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     corner = tuple(corner)
-    if len(corner) != graph.num_edges or any(c <= 0 for c in corner):
-        raise ValueError("corner must be a positive vector, one entry per edge")
+    if len(corner) != graph.num_edges or not all(0 < c < math.inf for c in corner):
+        raise ValueError("corner must be a positive finite vector, one entry per edge")
     chi = graph.euler_characteristic
     vol_sigma = 4.0 * math.pi * (genus - 1)
     return (
@@ -172,6 +185,8 @@ def ps_via_stieltjes(lengths, s: float, length_bound: float) -> float:
 def ps_model_closed_form(model: CountingModel, s: float) -> float:
     """Exact value of s * integral_0^inf e^(-st) c t^(3k-4) e^t dt for s > 1:
     s c Gamma(3k-3) / (s-1)^(3k-3)."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     if s <= 1:
         raise SeriesDivergenceError(
             f"the series diverges for s = {s} <= 1 (critical exponent 1)"
@@ -218,9 +233,7 @@ class SyntheticEnsemble:
     integer edge counts summing to ``resolution[i]`` (lattice markers, with
     edge lengths ``rows[i] / resolution[i]``).  ``cap_reached`` is true when
     the point cap, not the length bound, stopped the arrival process.
-
-    Indexing and iteration yield SyntheticSubgroup points; a slice gives a
-    list of them.
+    Iteration yields SyntheticSubgroup points.
     """
 
     lengths: np.ndarray
@@ -251,11 +264,6 @@ class SyntheticEnsemble:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [SyntheticSubgroup(self, i) for i in range(len(self))[index]]
-        return SyntheticSubgroup(self, range(len(self))[index])
-
     def __iter__(self):
         return (SyntheticSubgroup(self, i) for i in range(len(self)))
 
@@ -273,10 +281,10 @@ class SyntheticEnsemble:
         A Functional runs block by block from its linear forms: lattice
         markers divide their integer minimum once by the resolution, which
         gives float(f.scalar(marker)) exactly; exact markers use f.kernel.
-        Anything else runs per point on the markers.
+        A plain callable runs on each marker in point order.
         """
         if not isinstance(f, functionals.Functional):
-            return np.array(_pointwise(self, f), dtype=float)
+            return np.array([float(f(self.marker(i))) for i in range(len(self))])
         out = np.empty(len(self))
         # np.unique would also import numpy.ma, about 1 MB that is never used
         for b in np.flatnonzero(np.bincount(self.blocks)):
@@ -288,11 +296,6 @@ class SyntheticEnsemble:
                 out[mask] = _min_form_ratio(f.forms_for(graph), self.rows[mask],
                                             self.resolution[mask])
         return out
-
-
-def _pointwise(points, f) -> list[float]:
-    fn = f.scalar if isinstance(f, functionals.Functional) else f
-    return [float(fn(p.marker)) for p in points]
 
 
 def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
@@ -366,8 +369,8 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
     """
     if mode not in ENSEMBLE_MODES:
         raise ValueError(f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}")
-    if l_max <= 0:
-        raise ValueError("l_max must be positive")
+    if not 0 < l_max < math.inf:
+        raise ValueError(f"l_max must be positive and finite, got {l_max!r}")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     log_n_max = model.count_function_log(l_max)
@@ -411,25 +414,22 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
     )
 
 
-def ps_measure_expectation(ensemble, f, s: float) -> float:
+def ps_measure_expectation(ensemble: SyntheticEnsemble, f, s: float) -> float:
     """Expectation of f under the e^(-s length)-weighted probability measure
-    over the ensemble (a SyntheticEnsemble, or any sequence of points with a
-    length and a marker).
+    over the ensemble, with f scored by ``SyntheticEnsemble.values``.
 
     The weighted sum runs left to right over Python floats, in point order.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     if s <= 1:
         raise SeriesDivergenceError(
             f"the weighted measure needs s > 1, got s = {s}"
         )
     if not ensemble:
         raise ValueError("ensemble is empty")
-    if isinstance(ensemble, SyntheticEnsemble):
-        lengths = ensemble.lengths.tolist()
-        values = ensemble.values(f).tolist()
-    else:
-        lengths = [p.length for p in ensemble]
-        values = _pointwise(ensemble, f)
+    lengths = ensemble.lengths.tolist()
+    values = ensemble.values(f).tolist()
     lmin = min(lengths)
     num = 0.0
     den = 0.0
@@ -453,6 +453,6 @@ def expected_systole_line(length_bound, rank: int = 2):
     """Leading-order expected systole at length bound L: the exact E[systole]
     of the rank-k limit measure times L, (23/90) L for rank 2.  Ranks the
     exact integrator cannot reach raise ExactWorkLimitError."""
-    if length_bound < 0:
-        raise ValueError("length bound must be nonnegative")
+    if not 0 <= length_bound < math.inf:
+        raise ValueError(f"length bound must be nonnegative and finite, got {length_bound!r}")
     return _systole_slope(rank) * length_bound

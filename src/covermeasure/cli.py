@@ -3,13 +3,15 @@
 Every command prints a JSON envelope {command, format_version, params,
 records} by default (see output.schema.json); --format csv/text give flat
 rows or readable lines.  Identical argv and seed produce byte-identical
-output.  Exit codes: 0 success, 2 usage error, 1 computation error.
+output.  Exit codes: 0 success, 2 usage error (a non-finite number
+argument too), 1 computation error (overflow and non-finite results too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -44,8 +46,23 @@ def _parse_lengths(text: str) -> list[Fraction]:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:  # one message for a non-number and a non-finite number
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    out = [float(tok) for tok in text.split(",") if tok.strip()]
+    for value in out:
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {value!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,31 +362,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("subgroups", parents=[common])
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--L", type=float, required=True)
+    p.add_argument("--L", type=_finite_float, required=True)
     p.add_argument("--precision", choices=("double", "high"), default="double")
     p.set_defaults(handler=_cmd_count_subgroups, name="count.subgroups")
     p = csub.add_parser("crit", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--L", type=float, required=True)
+    p.add_argument("--L", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_count_crit, name="count.crit")
 
     p_ps = sub.add_parser("ps", help="exponent-weighted series")
     pssub = p_ps.add_subparsers(dest="subcommand", required=True)
     p = pssub.add_parser("sum", parents=[common])
     p.add_argument("--lengths-file", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--L", type=float, default=None)
+    p.add_argument("--s", type=_finite_float, required=True)
+    p.add_argument("--L", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_ps_sum, name="ps.sum")
     p = pssub.add_parser("model", parents=[common])
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_ps_model, name="ps.model")
     p = pssub.add_parser("converge", parents=[common])
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--Lmax", type=float, required=True)
+    p.add_argument("--Lmax", type=_finite_float, required=True)
     p.add_argument("--s-list", required=True)
     p.add_argument("--mode", choices=asymptotics.ENSEMBLE_MODES,
                    default="lattice-marker")
@@ -410,25 +427,26 @@ def run(argv, stdout=None, stderr=None) -> int:
     args.warn = lambda message: print(f"covermeasure: warning: {message}", file=stderr)
     try:
         params, records, lines = args.handler(args)
-    # every library error class is a ValueError
-    except (ValueError, KeyError, OSError) as exc:
+        if getattr(args, "seed", None) is not None and "seed" not in params:
+            params["seed"] = args.seed
+        if args.format == "json":
+            envelope = {
+                "command": args.name,
+                "format_version": FORMAT_VERSION,
+                "params": params,
+                "records": records,
+            }
+            # a NaN or infinity is no JSON: ValueError, before any output
+            text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        elif args.format == "csv":
+            text = _render_csv(records)
+        else:
+            text = "".join(f"{line}\n" for line in lines)
+    # every library error class is a ValueError; overflow is an ArithmeticError
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"covermeasure: error: {exc}", file=stderr)
         return 1
-    if getattr(args, "seed", None) is not None and "seed" not in params:
-        params["seed"] = args.seed
-    if args.format == "json":
-        envelope = {
-            "command": args.name,
-            "format_version": FORMAT_VERSION,
-            "params": params,
-            "records": records,
-        }
-        print(json.dumps(envelope, sort_keys=True, indent=2), file=stdout)
-    elif args.format == "csv":
-        stdout.write(_render_csv(records))
-    else:
-        for line in lines:
-            print(line, file=stdout)
+    stdout.write(text)
     return 0
 
 

@@ -91,11 +91,8 @@ def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(forms)
 
 
-_bridge_constant = invariants.bridge_indicator
-
-
 def _bridge_forms(graph: TrivalentGraph):
-    c = Fraction(_bridge_constant(graph))
+    c = Fraction(invariants.bridge_indicator(graph))
     # on the volume-one simplex a constant c equals the linear form c * sum(x)
     return ((c,) * graph.num_edges,)
 
@@ -112,7 +109,7 @@ SYSTOLE = Functional(name="systole", scalar=invariants.systole, forms_for=cycle_
 
 BRIDGE = Functional(
     name="bridge",
-    scalar=lambda mg: _bridge_constant(mg.graph),
+    scalar=lambda mg: invariants.bridge_indicator(mg.graph),
     forms_for=_bridge_forms,
 )
 

@@ -30,6 +30,11 @@ class InvalidRankError(ValueError):
     pass
 
 
+def _is_integer(value) -> bool:
+    """True for ints and numpy integers; False for bool and the rest."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 class InvalidGraphError(ValueError):
     pass
 
@@ -408,7 +413,7 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
     takes 24 to 26 s: keys for its 52,380 candidates 4 to 5 s, canonical
     search 16 to 19 s, the rest 3 s.
     """
-    if not isinstance(k, Integral) or isinstance(k, bool) or k < 2:
+    if not _is_integer(k) or k < 2:
         raise InvalidRankError(f"rank must be an integer >= 2, got {k!r}")
     cap = max_enumeration_rank()
     if k > cap:

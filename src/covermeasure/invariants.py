@@ -52,7 +52,7 @@ def systole_from_lengths(edges: Sequence[tuple[int, int]], lengths: Sequence):
     """
     if len(edges) != len(lengths):
         raise InvalidGraphError("one length per edge required")
-    if any(l <= 0 for l in lengths):
+    if not all(l > 0 for l in lengths):
         raise InvalidGraphError("edge lengths must be positive")
     n = max(max(u, v) for u, v in edges) + 1
     if not _is_connected(edges, n):
@@ -89,11 +89,6 @@ def bridge_indicator(graph) -> int:
     return 1 if bridges(graph) else 0
 
 
-def separating_edge_indicator(mg) -> bool:
-    """True iff the underlying graph has a separating (bridge) edge."""
-    return bool(bridge_indicator(mg.graph))
-
-
 def min_edge_length(mg):
     """Minimum edge length; the graph is l-long iff this exceeds l."""
     return min(mg.lengths)
@@ -105,21 +100,21 @@ def min_edge_length(mg):
 
 @dataclass(frozen=True)
 class PantsBoundary:
-    """Boundary lengths of a hyperbolic pair of pants, all positive."""
+    """Boundary lengths of a hyperbolic pair of pants, all positive and finite."""
 
     l1: float
     l2: float
     l3: float
 
     def __post_init__(self):
-        if not (self.l1 > 0 and self.l2 > 0 and self.l3 > 0):
-            raise InfeasibleGeometryError("boundary lengths must be positive")
+        if not all(0 < l < math.inf for l in (self.l1, self.l2, self.l3)):
+            raise InfeasibleGeometryError("boundary lengths must be positive and finite")
 
 
 def pants_boundary_from_dumbbell(x, y, z) -> PantsBoundary:
     """Boundary triple of the pants thickening a dumbbell with loop lengths
     x, y and bar length z, in the long-cover limit: (x, y, x + y + 2z)."""
-    if x <= 0 or y <= 0 or z <= 0:
+    if not (x > 0 and y > 0 and z > 0):
         raise InfeasibleGeometryError("dumbbell lengths must be positive")
     return PantsBoundary(x, y, x + y + 2 * z)
 

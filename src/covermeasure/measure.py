@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd
-from numbers import Integral
 from operator import itemgetter
 from typing import Callable
 
@@ -20,7 +19,9 @@ import numpy as np
 
 from .functionals import Functional, integer_forms, integer_matrix, integer_minimum
 from .graphs import (
+    InvalidRankError,
     TrivalentGraph,
+    _is_integer,
     automorphism_group,
     edge_action,
     enumerate_trivalent,
@@ -59,13 +60,13 @@ class MetricGraph:
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.graph.num_edges:
             raise ValueError("one length per edge required")
-        if any(l <= 0 for l in lengths):
+        if not all(l > 0 for l in lengths):
             raise ValueError("edge lengths must be positive")
         total = sum(lengths)
         if self.is_exact:
             if total != 1:
                 raise ValueError(f"exact lengths must sum to 1, got {total}")
-        elif abs(total - 1.0) > _FLOAT_VOLUME_TOL:
+        elif not abs(total - 1.0) <= _FLOAT_VOLUME_TOL:
             raise ValueError(f"lengths must sum to 1, got {total!r}")
 
     @property
@@ -79,12 +80,11 @@ class SimplexBlock:
 
     graph: TrivalentGraph
     mass: Fraction
-    dimension: int
 
     @classmethod
     def for_graph(cls, graph: TrivalentGraph) -> "SimplexBlock":
         mass = Fraction(len(triv_subgroup(graph)), len(automorphism_group(graph)))
-        return cls(graph=graph, mass=mass, dimension=graph.num_edges - 1)
+        return cls(graph=graph, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,6 @@ class MeasureMixture:
             raise ValueError("one weight per block required")
         if sum(self.weights) != 1:
             raise ValueError("block weights must sum to 1")
-
-    @property
-    def rank(self) -> int:
-        return self.blocks[0].graph.rank
 
     def weight_of(self, graph: TrivalentGraph) -> Fraction:
         key = graph.canonical_form()
@@ -136,12 +132,6 @@ def _draw_rows(rng, count: int, n_edges: int) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def sample(mixture: MeasureMixture, rng_seed: int) -> MetricGraph:
-    """One draw from the mixture: the first draw of ``sample_many``, so
-    deterministic given the seed."""
-    return sample_many(mixture, 1, rng_seed)[0]
-
-
 def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
     """Yield (block_indices, length_rows) chunks of _SAMPLE_CHUNK draws, n in all.
 
@@ -154,7 +144,7 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
     uniform on the open simplex.  A negative or non-integer n (a bool
     included) raises InvalidSampleCountError.
     """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise InvalidSampleCountError(f"need a nonnegative sample count, got {n!r}")
     n_edges = mixture.blocks[0].graph.num_edges
     weights = np.array([float(w) for w in mixture.weights])
@@ -202,7 +192,7 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, 
     values.  The (count, mean, M2) of each block segment are merged into
     running totals, so memory is O(_SAMPLE_CHUNK) whatever n is.
     """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 2:
+    if not _is_integer(n) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
     kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
         [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
@@ -289,19 +279,6 @@ def _lattice_orbits(graph: TrivalentGraph, n_slices: int
     return np.concatenate(points), np.concatenate(mults)
 
 
-def lattice_points(graph: TrivalentGraph, n_slices: int
-                   ) -> list[tuple[tuple[int, ...], int]]:
-    """Orbit representatives of positive integer vectors with L1-norm
-    ``n_slices`` under the edge action, with orbit sizes as multiplicities.
-
-    Representatives are the lexicographic minimum of each orbit; the
-    multiplicities add up to C(n_slices - 1, E - 1).  Below the number of
-    edges there are no positive points and the list is empty.
-    """
-    points, mults = _lattice_orbits(graph, n_slices)
-    return list(zip(map(tuple, points.tolist()), mults.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """A block's lattice at resolution N >= 1: an atom at n/N per orbit of
@@ -314,8 +291,11 @@ class EmpiricalMeasure:
     mass: Fraction  # the block mass |Triv|/|Aut|
 
     def __post_init__(self):
+        if not _is_integer(self.n_slices):
+            raise ValueError(f"lattice resolution N must be an integer, got {self.n_slices!r}")
         if self.n_slices < 1:
             raise ValueError(f"lattice resolution N must be at least 1, got {self.n_slices}")
+        object.__setattr__(self, "n_slices", int(self.n_slices))
 
     @property
     def count(self) -> int:  # C(N - 1, E - 1) positive compositions
@@ -370,6 +350,10 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
     3k-3 with L1-norm N, and those whose projectivization n/N satisfies the
     predicate.  The zero vector (N = 0) has no projectivization and never
     counts toward Omega_A."""
+    if not _is_integer(k) or k < 2:
+        raise InvalidRankError(f"rank must be an integer >= 2, got {k!r}")
+    if not _is_integer(n_norm):
+        raise ValueError(f"lattice norm N must be an integer, got {n_norm!r}")
     if n_norm < 0:
         raise ValueError(f"lattice norm N must be nonnegative, got {n_norm}")
     n_edges = 3 * k - 3

@@ -24,6 +24,15 @@ def load_schema():
 
 SCHEMA = load_schema()
 
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_no_constant)
+
 SMOKE_COMMANDS = [
     ["graphs", "enumerate", "--rank", "2"],
     ["graphs", "enumerate", "--rank", "3"],
@@ -53,7 +62,7 @@ SMOKE_COMMANDS = [
 def test_json_output_validates_against_schema(argv):
     code, out, err = run_cli(argv)
     assert code == 0, err
-    envelope = json.loads(out)
+    envelope = strict_json(out)
     jsonschema.validate(envelope, SCHEMA)
     assert envelope["records"]
 
@@ -225,3 +234,72 @@ def test_invariant_bridge_boolean():
     _, out, _ = run_cli(["invariant", "bridge", "--graph", "theta",
                          "--lengths", "1/3,1/3,1/3"])
     assert json.loads(out)["records"][0]["value"] == 0.0
+
+
+NON_FINITE_ARGUMENTS = [
+    ["ps", "model", "--genus", "2", "--rank", "2", "--s", "nan"],
+    ["ps", "model", "--genus", "2", "--rank", "2", "--s", "inf"],
+    ["count", "crit", "--graph", "dumbbell", "--genus", "2", "--L", "inf"],
+    ["count", "subgroups", "--genus", "2", "--rank", "2", "--L", "nan"],
+    ["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "inf",
+     "--s-list", "1.5"],
+    ["ps", "sum", "--lengths-file", "unused.txt", "--s=-inf"],
+    ["ps", "sum", "--lengths-file", "unused.txt", "--s", "1.5", "--L", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGUMENTS, ids=lambda a: " ".join(a))
+def test_non_finite_number_arguments_exit_2(argv, capsys):
+    code, out, _ = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    # argparse writes usage errors to sys.stderr itself
+    err = capsys.readouterr().err
+    assert "invalid finite float value" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["pants", "ortho", "--boundaries", "1,1,inf"], "inf"),
+    (["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "10",
+      "--s-list", "nan"], "nan"),
+    (["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "10",
+      "--s-list", "1.5,-inf"], "-inf"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_non_finite_list_entries_exit_1(argv, value):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert f"covermeasure: error: not a finite number: {value}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "subgroups", "--genus", "2", "--rank", "2", "--L", "709"],
+    ["count", "subgroups", "--genus", "2", "--rank", "2", "--L", "1000"],
+    ["count", "crit", "--graph", "dumbbell", "--genus", "2", "--L", "709"],
+    ["pants", "ortho", "--boundaries", "2000,1,1"],
+], ids=lambda a: " ".join(a))
+def test_overflow_exits_1(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("covermeasure: error:") and "Traceback" not in err
+
+
+def test_overflowing_count_names_length_bound():
+    _, _, err = run_cli(["count", "subgroups", "--genus", "2", "--rank", "2",
+                         "--L", "709"])
+    assert "L = 709.0" in err
+
+
+def test_non_finite_json_result_exits_1(tmp_path):
+    # e^(-0 * inf) is NaN: finite arguments, a non-finite result
+    lengths = tmp_path / "lengths.txt"
+    lengths.write_text("inf\n")
+    argv = ["ps", "sum", "--lengths-file", str(lengths), "--s", "0"]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "not JSON compliant" in err
+    code, out, _ = run_cli(argv + ["--format", "text"])
+    assert code == 0 and "nan" in out

@@ -153,12 +153,9 @@ def test_systole_nonpositive_length_rejected():
 # --- indicator and min edge -------------------------------------------------------
 
 def test_separating_edge_indicator():
-    assert IV.separating_edge_indicator(
-        MetricGraph(G.dumbbell(), (0.3, 0.3, 0.4)))
-    assert not IV.separating_edge_indicator(
-        MetricGraph(G.theta_graph(), (0.3, 0.3, 0.4)))
-    assert not IV.separating_edge_indicator(
-        MetricGraph(G.complete_graph_k4(), (F(1, 6),) * 6))
+    assert IV.bridge_indicator(G.dumbbell()) == 1
+    assert IV.bridge_indicator(G.theta_graph()) == 0
+    assert IV.bridge_indicator(G.complete_graph_k4()) == 0
 
 
 def test_min_edge_length_examples():

@@ -57,8 +57,14 @@ def _petersen():
 SCALARS = (
     (FN.SYSTOLE, INV.systole),
     (FN.MINEDGE, INV.min_edge_length),
-    (FN.BRIDGE, lambda mg: FN._bridge_constant(mg.graph)),
+    (FN.BRIDGE, lambda mg: INV.bridge_indicator(mg.graph)),
 )
+
+
+def _sigma_points(graph, n_slices):
+    """The orbits of ``lattice_sigma`` as (point, multiplicity) pairs."""
+    sigma = M.lattice_sigma(graph, n_slices)
+    return list(zip(map(tuple, sigma.points.tolist()), sigma.multiplicities.tolist()))
 
 
 def _per_atom(sigma, scalar):
@@ -80,7 +86,7 @@ def test_compositions_match_recursive_generator(total, parts):
 def test_lattice_points_match_set_orbits():
     for g in _types():
         for n in range(g.num_edges - 1, 12):
-            assert M.lattice_points(g, n) == _set_orbit_points(g, n)
+            assert _sigma_points(g, n) == _set_orbit_points(g, n)
 
 
 def test_integer_expectation_matches_per_atom_scalars():
@@ -101,7 +107,7 @@ def test_integer_expectation_rank2_at_240():
 def test_rank6_points_past_int64_keys():
     g, n = _petersen(), 20
     assert g.rank == 6 and n ** g.num_edges > 2 ** 63
-    pts = M.lattice_points(g, n)
+    pts = _sigma_points(g, n)
     assert sum(mult for _, mult in pts) == comb(19, 14)
     assert pts == _set_orbit_points(g, n)
     sigma = M.lattice_sigma(g, n)
@@ -243,12 +249,12 @@ def test_composition_chunks_split_in_order(monkeypatch, total, parts):
 
 def test_small_chunks_give_same_results(monkeypatch):
     cases = [(g, n) for g in _types() for n in (g.num_edges, 11)]
-    want = [(M.lattice_points(g, n), [M.lattice_sigma(g, n).expectation(f)
-                                      for f, _ in SCALARS]) for g, n in cases]
+    want = [(_sigma_points(g, n), [M.lattice_sigma(g, n).expectation(f)
+                                    for f, _ in SCALARS]) for g, n in cases]
     want_omega = [M.omega_counts(k, 7, lambda x: max(x) < F(1, 2)) for k in (2, 3)]
     monkeypatch.setattr(M, "_CHUNK_ROWS", 3)
-    got = [(M.lattice_points(g, n), [M.lattice_sigma(g, n).expectation(f)
-                                     for f, _ in SCALARS]) for g, n in cases]
+    got = [(_sigma_points(g, n), [M.lattice_sigma(g, n).expectation(f)
+                                   for f, _ in SCALARS]) for g, n in cases]
     assert got == want
     assert [M.omega_counts(k, 7, lambda x: max(x) < F(1, 2)) for k in (2, 3)] == want_omega
 
@@ -257,7 +263,6 @@ def test_small_chunks_give_same_results(monkeypatch):
 def test_resolution_below_one_is_refused(n):
     with pytest.raises(ValueError, match=f"N must be at least 1, got {n}"):
         M.lattice_sigma(G.theta_graph(), n)
-    assert M.lattice_points(G.theta_graph(), n) == []
 
 
 def test_integer_forms_clear_denominators():

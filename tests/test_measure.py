@@ -34,7 +34,7 @@ def test_rank2_block_masses():
     by_id = {b.graph.canonical_id(): b for b in m2.blocks}
     assert by_id[G.dumbbell().canonical_id()].mass == F(1, 2)
     assert by_id[G.theta_graph().canonical_id()].mass == F(1, 6)
-    assert all(b.dimension == 2 for b in m2.blocks)
+    assert all(b.graph.num_edges - 1 == 2 for b in m2.blocks)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -53,16 +53,21 @@ def test_weight_lookup():
 
 # --- lattice points and sigma measures -------------------------------------------
 
+def _orbits(graph, n_slices):
+    sigma = M.lattice_sigma(graph, n_slices)
+    return sigma.points.tolist(), sigma.multiplicities.tolist()
+
+
 def test_lattice_points_examples():
     th, db = G.theta_graph(), G.dumbbell()
-    assert M.lattice_points(th, 3) == [((1, 1, 1), 1)]
-    assert M.lattice_points(th, 4) == [((1, 1, 2), 3)]
+    assert _orbits(th, 3) == ([[1, 1, 1]], [1])
+    assert _orbits(th, 4) == ([[1, 1, 2]], [3])
     # dumbbell edges are (loop, loop, bar): the loops swap, the bar is fixed
-    assert M.lattice_points(db, 4) == [((1, 1, 2), 1), ((1, 2, 1), 2)]
+    assert _orbits(db, 4) == ([[1, 1, 2], [1, 2, 1]], [1, 2])
 
 
 def test_lattice_points_empty_below_edge_count():
-    assert M.lattice_points(G.theta_graph(), 2) == []
+    assert M.lattice_sigma(G.theta_graph(), 2).points.shape == (0, 3)
     assert M.lattice_sigma(G.theta_graph(), 2).atoms == ()
 
 
@@ -71,9 +76,8 @@ def test_lattice_points_empty_below_edge_count():
        use_theta=st.booleans())
 def test_lattice_multiplicities_sum(n, use_theta):
     g = G.theta_graph() if use_theta else G.dumbbell()
-    pts = M.lattice_points(g, n)
-    assert sum(mult for _, mult in pts) == comb(n - 1, g.num_edges - 1)
-    reps = [rep for rep, _ in pts]
+    reps, mults = _orbits(g, n)
+    assert sum(mults) == comb(n - 1, g.num_edges - 1)
     assert reps == sorted(reps)
 
 
@@ -141,8 +145,8 @@ def test_omega_growth_ratio():
 
 def test_sample_is_deterministic_and_on_simplex():
     m2 = M.build_limit_measure(2)
-    a = M.sample(m2, rng_seed=123)
-    b = M.sample(m2, rng_seed=123)
+    a = M.sample_many(m2, 1, seed=123)[0]
+    b = M.sample_many(m2, 1, seed=123)[0]
     assert a == b
     assert all(x > 0 for x in a.lengths)
     assert abs(sum(a.lengths) - 1) < 1e-12

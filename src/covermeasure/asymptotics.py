@@ -10,6 +10,7 @@ c_{g,k} L^(3k-4) e^L.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,6 +26,11 @@ from .measure import (
     build_limit_measure,
     expectation,
 )
+
+
+# natural logs of the least normal and the greatest float
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class SeriesDivergenceError(ValueError):
@@ -184,7 +190,9 @@ def ps_via_stieltjes(lengths, s: float, length_bound: float) -> float:
 
 def ps_model_closed_form(model: CountingModel, s: float) -> float:
     """Exact value of s * integral_0^inf e^(-st) c t^(3k-4) e^t dt for s > 1:
-    s c Gamma(3k-3) / (s-1)^(3k-3)."""
+    s c Gamma(3k-3) / (s-1)^(3k-3).  Where (s-1)^(3k-3) is past the normal
+    float range the quotient is taken in logs; a value past the float
+    range raises OverflowError naming s."""
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     if s <= 1:
@@ -192,7 +200,16 @@ def ps_model_closed_form(model: CountingModel, s: float) -> float:
             f"the series diverges for s = {s} <= 1 (critical exponent 1)"
         )
     m = 3 * model.rank - 3
-    return s * model.c * math.factorial(m - 1) / (s - 1.0) ** m
+    numerator = s * model.c * math.factorial(m - 1)
+    log_power = m * math.log(s - 1.0)
+    if _LOG_TINY < log_power < _LOG_HUGE:
+        value = numerator / (s - 1.0) ** m
+    else:
+        log_value = math.log(numerator) - log_power
+        value = math.exp(log_value) if log_value < _LOG_HUGE else math.inf
+    if value == math.inf:
+        raise OverflowError(f"the closed form at s = {s!r} is past the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +388,8 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
         raise ValueError(f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}")
     if not 0 < l_max < math.inf:
         raise ValueError(f"l_max must be positive and finite, got {l_max!r}")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    if not _is_integer(cap) or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     log_n_max = model.count_function_log(l_max)
     if log_n_max < 0:
         raise ValueError(

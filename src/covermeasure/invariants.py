@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,6 +120,17 @@ def pants_boundary_from_dumbbell(x, y, z) -> PantsBoundary:
     return PantsBoundary(x, y, x + y + 2 * z)
 
 
+# the longest boundary l whose cosh(l / 2) is a float: 2 ln(2 * DBL_MAX)
+BOUNDARY_LIMIT = 2 * (math.log(2) + math.log(sys.float_info.max))
+
+
+def _half_cosh(name: str, length: float) -> float:
+    if length > BOUNDARY_LIMIT:
+        raise OverflowError(f"boundary {name} = {length!r} is past {BOUNDARY_LIMIT!r}, "
+                            f"where cosh({name}/2) leaves the float range")
+    return math.cosh(length / 2)
+
+
 def separating_orthogeodesic_length(b: PantsBoundary) -> float:
     """Length of the simple orthogeodesic from boundary 3 to itself that
     separates boundaries 1 and 2.
@@ -138,14 +150,23 @@ def separating_orthogeodesic_length(b: PantsBoundary) -> float:
     d = 2 asinh(cosh(l1/2) / sinh(u1)).  Unlike acosh of cosh(p), which
     tends to 1 as l3 grows, no step cancels, so the result keeps full
     relative precision for long boundaries (d ~ 4 cosh(l1/2) e^(-l3/4)
-    when l1 = l2).
+    when l1 = l2).  Where sinh(u1) or c1 / sinh(u1) is past the float
+    range, the quotient is taken in logs.  An l1 or l2 past
+    BOUNDARY_LIMIT, where its cosh is past the float range, raises
+    OverflowError naming it.
     """
-    c1 = math.cosh(b.l1 / 2)
-    r = c1 / math.cosh(b.l2 / 2)
+    c1 = _half_cosh("l1", b.l1)
+    r = c1 / _half_cosh("l2", b.l2)
     h = b.l3 / 2
     e = math.exp(-h)
     u1 = 0.5 * (h + math.log(r) + math.log1p(e / r) - math.log1p(r * e))
-    return 2.0 * math.asinh(c1 / math.sinh(u1))
+    try:
+        ratio = c1 / math.sinh(u1)
+    except OverflowError:  # past the float range sinh(u1) is e^u1 / 2
+        ratio = math.exp(math.log(c1) + math.log(2) - u1)
+    if ratio == math.inf:  # past the float range asinh(x) is ln(2x)
+        return 2.0 * (math.log(2) + math.log(c1) - math.log(math.sinh(u1)))
+    return 2.0 * math.asinh(ratio)
 
 
 # --- independent matrix-model oracle ---------------------------------------

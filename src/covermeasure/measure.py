@@ -8,8 +8,9 @@ floating point enters only in Monte Carlo sampling.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import comb, gcd
 from operator import itemgetter
@@ -32,7 +33,9 @@ _FLOAT_VOLUME_TOL = 1e-9
 # the most rows of compositions held at once by lattice sums and orbits
 _CHUNK_ROWS = 1 << 16
 # Monte Carlo draws per chunk; unlike _CHUNK_ROWS it fixes the random stream
-_SAMPLE_CHUNK = 1 << 16
+_SAMPLE_CHUNK = 1 << 15
+# threads that draw and score chunks in integrate_mc; the estimate does not depend on it
+_MC_WORKERS = 2
 
 
 class InvalidSampleCountError(ValueError):
@@ -132,34 +135,50 @@ def _draw_rows(rng, count: int, n_edges: int) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
+def _chunks(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
+    """(child, m) per chunk: chunk c draws m = min(_SAMPLE_CHUNK, rest) of
+    the n samples from the c-th spawn of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(-(-n // _SAMPLE_CHUNK))
+    return [(child, min(_SAMPLE_CHUNK, n - c * _SAMPLE_CHUNK))
+            for c, child in enumerate(children)]
+
+
+def _draw_chunk(child, m: int, weights: np.ndarray, exps: np.ndarray,
+                sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(block_counts, length_rows) of one chunk of m draws from ``child``.
+
+    Block counts come from the multinomial of the weights, then lengths
+    from one (E, m) array of exponentials normalised along the edge axis.
+    The exponentials are drawn into the C-contiguous (E, >= m) buffer
+    ``exps``, and ``sums`` (>= m floats) holds their column sums, so a
+    caller may reuse both chunk after chunk; the rows are a view of ``exps``.
+    """
+    rng = np.random.default_rng(child)
+    counts = rng.multinomial(m, weights)
+    block = exps.reshape(-1)[:len(exps) * m].reshape(len(exps), m)
+    rng.standard_exponential(out=block)
+    np.divide(block, np.sum(block, axis=0, out=sums[:m]), out=block)
+    return counts, block.T
+
+
 def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
     """Yield (block_indices, length_rows) chunks of _SAMPLE_CHUNK draws, n in all.
 
-    Chunk c uses the c-th spawn of SeedSequence(seed), so results are
-    reproducible for a fixed chunk layout regardless of scheduling.  A
-    chunk of m draws takes its block counts from the multinomial of the
-    weights, then lengths from one (E, m) array of exponentials normalised
-    along the edge axis.  Block indices are sorted, so each block's rows
-    are one contiguous slice; given the counts, the rows are i.i.d.
-    uniform on the open simplex.  A negative or non-integer n (a bool
-    included) raises InvalidSampleCountError.
+    Each chunk is drawn by ``_draw_chunk`` from its own spawn of
+    SeedSequence(seed), so results are reproducible for a fixed chunk
+    layout regardless of scheduling.  Block indices are sorted, so each
+    block's rows are one contiguous slice; given the counts, the rows are
+    i.i.d. uniform on the open simplex.  A negative or non-integer n (a
+    bool included) raises InvalidSampleCountError.
     """
     if not _is_integer(n) or n < 0:
         raise InvalidSampleCountError(f"need a nonnegative sample count, got {n!r}")
     n_edges = mixture.blocks[0].graph.num_edges
     weights = np.array([float(w) for w in mixture.weights])
     blocks = np.arange(len(weights))
-    n_chunks = (n + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    done = 0
-    for child in children:
-        m = min(_SAMPLE_CHUNK, n - done)
-        done += m
-        rng = np.random.default_rng(child)
-        counts = rng.multinomial(m, weights)
-        exps = rng.standard_exponential((n_edges, m))
-        exps /= exps.sum(axis=0)
-        yield np.repeat(blocks, counts), exps.T
+    for child, m in _chunks(n, seed):
+        counts, rows = _draw_chunk(child, m, weights, np.empty((n_edges, m)), np.empty(m))
+        yield np.repeat(blocks, counts), rows
 
 
 def sample_many(mixture: MeasureMixture, count: int, seed: int) -> list[MetricGraph]:
@@ -189,19 +208,40 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, 
 
     A Functional runs batched through its kernel, one call per block of
     each chunk; a plain callable is evaluated per sample on MetricGraph
-    values.  The (count, mean, M2) of each block segment are merged into
-    running totals, so memory is O(_SAMPLE_CHUNK) whatever n is.
+    values.  Either may run on a worker thread: _MC_WORKERS threads each
+    draw and score whole chunks of ``sample_chunks``'s stream, at most one
+    chunk in flight per buffer, while the calling thread merges the
+    (count, mean, M2) of each block segment into running totals in chunk
+    order.  The estimate is therefore the same bits for any worker count,
+    and memory is O(_MC_WORKERS * _SAMPLE_CHUNK) whatever n is.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not _is_integer(n) or n < 2:
         raise InvalidSampleCountError(f"need at least 2 samples, got {n!r}")
     kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
         [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
+    n_edges = mixture.blocks[0].graph.num_edges
+    weights = np.array([float(w) for w in mixture.weights])
+
+    def score(child, m, exps, sums):
+        counts, rows = _draw_chunk(child, m, weights, exps, sums)
+        return [kernel(block.graph, rows[end - count:end])
+                for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts))
+                if count]
+
+    width = min(_SAMPLE_CHUNK, n)
+    buffers = [(np.empty((n_edges, width)), np.empty(width)) for _ in range(_MC_WORKERS)]
     moments = (0, 0.0, 0.0)
-    for idx, rows in sample_chunks(mixture, n, seed):
-        counts = np.bincount(idx, minlength=len(mixture.blocks))
-        for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts)):
-            if count:
-                moments = _merge_moments(moments, kernel(block.graph, rows[end - count:end]))
+    pending = deque()
+    with ThreadPoolExecutor(_MC_WORKERS) as pool:
+        for c, (child, m) in enumerate(_chunks(n, seed)):
+            if len(pending) == _MC_WORKERS:
+                # chunk c reuses the buffers of chunk c - _MC_WORKERS, merged here
+                moments = reduce(_merge_moments, pending.popleft().result(), moments)
+            pending.append(pool.submit(score, child, m, *buffers[c % _MC_WORKERS]))
+        for future in pending:
+            moments = reduce(_merge_moments, future.result(), moments)
     _, mean, m2 = moments
     return mean, float(np.sqrt(m2 / (n - 1) / n))
 

@@ -1,14 +1,17 @@
 """Input guards: NaN and infinity are refused, and integer arguments accept
 numpy integers but not bool or floats, with errors that name the value."""
 
+import io
 import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from covermeasure import asymptotics as A
+from covermeasure import cli
 from covermeasure import functionals as FN
 from covermeasure import graphs as G
 from covermeasure import invariants as IV
@@ -141,3 +144,62 @@ def test_crit_genus_must_be_an_integer_at_least_2(genus):
 def test_crit_accepts_numpy_genus():
     assert A.crit_count_asymptotic(G.dumbbell(), np.int64(2), 10.0) \
         == A.crit_count_asymptotic(G.dumbbell(), 2, 10.0)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 100.0, Fraction(100), 0, -3])
+def test_ensemble_cap_must_be_an_integer_at_least_1(cap):
+    message = re.escape(f"cap must be an integer >= 1, got {cap!r}")
+    with pytest.raises(ValueError, match=message):
+        A.synthesize_ensemble(MODEL, 8.0, "exact-marker", seed=0, cap=cap)
+
+
+def test_ensemble_cap_accepts_numpy_integers():
+    got = A.synthesize_ensemble(MODEL, 8.0, "exact-marker", seed=0, cap=np.int32(50))
+    want = A.synthesize_ensemble(MODEL, 8.0, "exact-marker", seed=0, cap=50)
+    assert len(got) == 50 and got.cap_reached
+    assert np.array_equal(got.lengths, want.lengths)
+    assert np.array_equal(got.rows, want.rows)
+
+
+# --- values past the float range -----------------------------------------------------
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_ps_model_past_float_range_raises_naming_s():
+    # (s - 1)^33 underflows to 0 at this s, and the true value is past 1e308
+    model = A.CountingModel(genus=2, rank=12)
+    with pytest.raises(OverflowError, match=re.escape("s = 1.0000000000000002")):
+        A.ps_model_closed_form(model, 1.0000000000000002)
+    code, out, err = run_cli(["ps", "model", "--genus", "2", "--rank", "12",
+                              "--s", "1.0000000000000002"])
+    assert (code, out) == (1, "")
+    assert "s = 1.0000000000000002" in err
+
+
+def test_ps_model_in_float_range_is_taken_in_logs_past_the_power_range():
+    # (s - 1)^33 = 1e-330 is below every float, yet the value is about 4e289
+    model = A.CountingModel(genus=1000, rank=12)
+    s = 1 + 1e-10
+    with mpmath.workdps(40):
+        want = (mpmath.mpf(s) * mpmath.mpf(model.c) * mpmath.factorial(32)
+                / (mpmath.mpf(s) - 1) ** 33)
+    got = A.ps_model_closed_form(model, s)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-12 * want
+    # far above 1 the power overflows and the value is below every float
+    assert A.ps_model_closed_form(model, 1e30) == 0.0
+
+
+@pytest.mark.parametrize("name, lengths", [("l1", (2000.0, 1.0, 1.0)),
+                                           ("l2", (1.0, 2000.0, 1.0))])
+def test_orthogeodesic_past_boundary_limit_raises_naming_it(name, lengths):
+    message = re.escape(f"boundary {name} = 2000.0 is past {IV.BOUNDARY_LIMIT!r}")
+    with pytest.raises(OverflowError, match=message):
+        IV.separating_orthogeodesic_length(IV.PantsBoundary(*lengths))
+    code, out, err = run_cli(["pants", "ortho", "--boundaries", ",".join(map(str, lengths))])
+    assert (code, out) == (1, "")
+    assert f"boundary {name} = 2000.0" in err

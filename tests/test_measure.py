@@ -1,6 +1,8 @@
 """Limit-measure construction, lattice discretizations, and sampling."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -240,15 +242,15 @@ def test_integrate_mc_runs_forms_only_functional_batched():
 # so that a change of the random stream or of the kernels' rounding shows;
 # another BLAS may sum in another order, hence the relative 1e-12
 MC_PINS = {
-    (2, "systole"): (0.25679954260082083, 0.0005319438066414642),
-    (2, "minedge"): (0.11089271606018233, 0.00024859055477638166),
-    (2, "bridge"): (0.59644, 0.0015514565202329525),
-    (3, "systole"): (0.1409798955570255, 0.000324914195023632),
-    (3, "minedge"): (0.027751958077279412, 7.403931490368058e-05),
-    (3, "bridge"): (0.6659399999999999, 0.001491529889279496),
-    (4, "systole"): (0.09593405016306375, 0.00023103436480887533),
-    (4, "minedge"): (0.012355407484871921, 3.479249330647299e-05),
-    (4, "bridge"): (0.6788299999999998, 0.001476556843877381),
+    (2, "systole"): (0.2558046055651144, 0.0005311443932575045),
+    (2, "minedge"): (0.11106178797729956, 0.0002484690400115303),
+    (2, "bridge"): (0.59739, 0.0015508629632431448),
+    (3, "systole"): (0.14076975306133915, 0.00032457110922670776),
+    (3, "minedge"): (0.027737811363634093, 7.426164839885173e-05),
+    (3, "bridge"): (0.6663999999999998, 0.0014910173142275423),
+    (4, "systole"): (0.09589455642391473, 0.00023064558229679558),
+    (4, "minedge"): (0.012336501507120423, 3.495858498860734e-05),
+    (4, "bridge"): (0.6808700000000001, 0.0014740699304380367),
 }
 
 
@@ -256,6 +258,73 @@ MC_PINS = {
 def test_integrate_mc_pinned(k, name):
     got = M.integrate_mc(M.build_limit_measure(k), FN.get_functional(name), 10**5, seed=0)
     assert got == pytest.approx(MC_PINS[k, name], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k, name", sorted(MC_PINS))
+def test_mc_pins_lie_near_exact(k, name):
+    # the pins are estimates: each lies within 4 of its standard errors of
+    # the exact expectation, which is 1/E^2 for the least of E edges
+    exact = M.expectation(M.build_limit_measure(k), FN.get_functional(name))
+    if name == "minedge":
+        assert exact == F(1, (3 * k - 3) ** 2)
+    mean, err = MC_PINS[k, name]
+    assert abs(mean - exact) < 4 * err
+
+
+def _serial_mc(mixture, f, n, seed):
+    """integrate_mc as one serial _merge_moments fold over sample_chunks."""
+    kernel = f.kernel if isinstance(f, FN.Functional) else (lambda graph, rows: np.array(
+        [f(M.MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
+    moments = (0, 0.0, 0.0)
+    for idx, rows in M.sample_chunks(mixture, n, seed):
+        counts = np.bincount(idx, minlength=len(mixture.blocks))
+        for block, count, end in zip(mixture.blocks, counts, np.cumsum(counts)):
+            if count:
+                moments = M._merge_moments(moments, kernel(block.graph, rows[end - count:end]))
+    _, mean, m2 = moments
+    return mean, float(np.sqrt(m2 / (n - 1) / n))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("f", [FN.SYSTOLE, lambda mg: 2 * mg.lengths[0] + max(mg.lengths)],
+                         ids=["systole", "callable"])
+def test_integrate_mc_equals_serial_fold_for_any_worker_count(monkeypatch, workers, f):
+    # 21 chunks, the last partial, each reusing a buffer; more workers than
+    # cores and a short switch interval give a reused buffer every chance
+    # to be overwritten before its values are merged
+    monkeypatch.setattr(M, "_SAMPLE_CHUNK", 1000)
+    monkeypatch.setattr(M, "_MC_WORKERS", workers)
+    m3 = M.build_limit_measure(3)
+    got = []
+    runner = threading.Thread(target=lambda: got.append(M.integrate_mc(m3, f, 20_500, seed=6)),
+                              daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [_serial_mc(m3, f, 20_500, seed=6)]
+
+
+def test_integrate_mc_raises_what_a_worker_raised():
+    with pytest.raises(ZeroDivisionError):
+        M.integrate_mc(M.build_limit_measure(2), lambda mg: 1 / 0, 100_000, seed=0)
+
+
+def test_integrate_mc_memory_is_bounded_at_rank4():
+    # two buffers of 9 x 2^15 floats are 4.5 MiB and the kernels' products
+    # about as much again; keeping each chunk's values would take 30 MiB
+    m4 = M.build_limit_measure(4)
+    tracemalloc.start()
+    try:
+        M.integrate_mc(m4, FN.SYSTOLE, 4_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_integrate_mc_close_to_exact():

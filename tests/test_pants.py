@@ -111,3 +111,14 @@ def test_long_boundary_keeps_relative_precision():
 def test_oracle_infeasible_inputs():
     with pytest.raises(IV.InfeasibleGeometryError):
         IV.PantsBoundary(0.0, 1.0, 1.0)
+
+
+def test_quotients_past_the_float_range_keep_relative_precision():
+    # sinh of the seam part u1 (the first three) or cosh(l1/2) / sinh(u1)
+    # (the last two) is past the float range, while the orthogeodesic is not
+    for l1, l2, l3 in ((1400.0, 1.0, 1500.0), (1420.0, 1.0, 1422.0),
+                       (700.0, 600.0, 1700.0), (IV.BOUNDARY_LIMIT, 1.0, 1.0),
+                       (1420.0, 3.0, 0.5)):
+        got = IV.separating_orthogeodesic_length(IV.PantsBoundary(l1, l2, l3))
+        ref = _hexagon_reference(l1, l2, l3)
+        assert abs(got - ref) <= 1e-12 * ref, (l1, l2, l3, got, float(ref))

@@ -94,10 +94,6 @@ class TrivalentGraph:
         return self.num_vertices - self.num_edges
 
     @property
-    def darts(self) -> tuple[int, ...]:
-        return tuple(range(2 * self.num_edges))
-
-    @property
     def edge_pairing(self) -> tuple[int, ...]:
         """Fixed-point-free involution on darts: dart 2i <-> dart 2i+1."""
         pairing = []
@@ -111,14 +107,6 @@ class TrivalentGraph:
         for u, v in self.edges:
             out.extend((u, v))
         return tuple(out)
-
-    @property
-    def vertex_assignment(self) -> tuple[tuple[int, ...], ...]:
-        """Darts grouped by vertex; each group has exactly 3 darts."""
-        groups: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for d, v in enumerate(self.vertex_of_dart):
-            groups[v].append(d)
-        return tuple(tuple(g) for g in groups)
 
     def canonical_form(self) -> bytes:
         return canonical_form(self)

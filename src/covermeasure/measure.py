@@ -104,13 +104,6 @@ class MeasureMixture:
         if sum(self.weights) != 1:
             raise ValueError("block weights must sum to 1")
 
-    def weight_of(self, graph: TrivalentGraph) -> Fraction:
-        key = graph.canonical_form()
-        for block, w in zip(self.blocks, self.weights):
-            if block.graph.canonical_form() == key:
-                return w
-        raise KeyError("graph type is not a block of this mixture")
-
 
 def build_limit_measure(k: int) -> MeasureMixture:
     """The limit probability measure for rank k, one block per graph type.
@@ -372,7 +365,8 @@ class EmpiricalMeasure:
             raise ValueError("empirical measure has zero mass")
         if not isinstance(f, Functional):
             return sum(w * f(mg) for mg, w in self.atoms) / self.total_mass
-        rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph))
+        rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph),
+                                        _WorkMeter(self.graph))
         mat = integer_matrix(rows, self.n_slices * self.count)
         total = sum(int(integer_minimum(mat, chunk).sum())
                     for chunk in _composition_chunks(self.n_slices, self.graph.num_edges))
@@ -545,6 +539,11 @@ def _bareiss_det(rows) -> int:
     return sign * m[-1][-1]
 
 
+def _cuts(rep, forms) -> list[tuple]:
+    """The cuts rep - L <= 0 of rep's cell, one per form L other than rep, in order."""
+    return [tuple(a - b for a, b in zip(rep, form)) for form in forms if form != rep]
+
+
 def _cell_integral(rep, forms, n: int, meter: _WorkMeter) -> Fraction:
     """Integral of rep over {x in the simplex : rep(x) <= L(x) for all L in
     forms}, relative to the simplex volume, for integer rows rep and forms.
@@ -553,7 +552,7 @@ def _cell_integral(rep, forms, n: int, meter: _WorkMeter) -> Fraction:
     meets the simplex in relative volume |det V| / prod s_i, and a linear
     form averages to (1/n) sum L(v_i) / s_i over it.
     """
-    constraints = [tuple(a - b for a, b in zip(rep, form)) for form in forms if form != rep]
+    constraints = _cuts(rep, forms)
     cell = _cell_rays(constraints, n, meter)
     if cell is None:
         return Fraction(0)
@@ -587,38 +586,27 @@ def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
     return orbits
 
 
-def _symmetry_test_points(n_coords: int) -> list[list[int]]:
-    """Fixed positive points; a point's scale scales its images alike."""
-    return [
-        [i + 1 for i in range(n_coords)],
-        [(i + 1) ** 2 for i in range(n_coords)],
-        [2 ** i for i in range(n_coords)],
-        [(i + 2) ** 3 - 1 for i in range(n_coords)],
-    ]
+def _invariant_forms(graph: TrivalentGraph, forms, meter: _WorkMeter):
+    """(rows, orbits, d) for the forms M / d of a functional: the integer
+    rows of M, the edge-action orbits that lie wholly among the rows, and d.
 
-
-def _check_symmetry(graph: TrivalentGraph, rows) -> None:
-    points = _symmetry_test_points(graph.num_edges)
-    images = np.array([permute(x) for permute in _permuters(graph) for x in points])
-    mat = integer_matrix(rows, int(images.sum(axis=1).max()))
-    values = integer_minimum(mat, images).reshape(-1, len(points))
-    # the identity is one of the permutations, so every row must match
-    if (values != values[0]).any():
-        raise SymmetryViolationError("functional is not invariant under the edge action")
-
-
-def _invariant_forms(graph: TrivalentGraph, forms):
-    """(rows, orbits, d) for the forms M / d of an invariant functional: the
-    integer rows of M, the orbits of their closure under the edge action,
-    and d.  A set that the closure leaves unchanged has an invariant minimum
-    by construction; any other set is checked exactly on fixed sample points
-    for every group element, and SymmetryViolationError is raised otherwise."""
+    The minimum is invariant under the action exactly when no row whose
+    orbit leaves the set is ever the strict minimum, i.e. each such row's
+    cell among the rows has measure zero (``_cell_rays`` gives None): an
+    invariant minimum's essential forms are closed under the action, and
+    if every other row is inessential the minimum is that over whole
+    orbits.  Otherwise SymmetryViolationError is raised.  A closed set
+    builds no cells."""
     rows, den = integer_forms(forms)
     if any(len(row) != graph.num_edges for row in rows):
         raise ValueError("forms must have one coefficient per edge")
-    orbits = _form_orbits(graph, rows)
-    if sum(map(len, orbits)) > len(set(rows)):
-        _check_symmetry(graph, rows)
+    present = set(rows)
+    orbits = [orbit for orbit in _form_orbits(graph, rows) if present.issuperset(orbit)]
+    kept = {form for orbit in orbits for form in orbit}
+    if any(row not in kept
+           and _cell_rays(_cuts(row, rows), graph.num_edges, meter) is not None
+           for row in dict.fromkeys(rows)):
+        raise SymmetryViolationError("functional is not invariant under the edge action")
     return rows, orbits, den
 
 
@@ -627,19 +615,20 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     i.e. the integral against sigma_X divided by the block mass.
 
     The functional must be invariant under the edge action, as
-    ``_invariant_forms`` checks.  Closing the forms under the action leaves
-    the minimum unchanged, so E[min L] is the sum over the orbits O of |O|
-    times the integral of L_rep over the cell where L_rep is minimal.
-    Raises ExactWorkLimitError when the cells need more than
+    ``_invariant_forms`` decides exactly.  Its minimum is then the minimum
+    over the whole orbits it keeps, with every cell unchanged up to measure
+    zero, so E[min L] is the sum over those orbits O of |O| times the
+    integral of L_rep over the cell where L_rep is minimal among them.
+    Raises ExactWorkLimitError when the check and the cells need more than
     EXACT_WORK_LIMIT rays and simplices.
     """
     forms = f.forms_for(graph) if isinstance(f, Functional) else f
-    _, orbits, den = _invariant_forms(graph, forms)
-    closed = [form for orbit in orbits for form in orbit]
     meter = _WorkMeter(graph)
+    _, orbits, den = _invariant_forms(graph, forms, meter)
+    kept = [form for orbit in orbits for form in orbit]
     total = Fraction(0)
     for orbit in orbits:
-        total += len(orbit) * _cell_integral(orbit[0], closed, graph.num_edges, meter)
+        total += len(orbit) * _cell_integral(orbit[0], kept, graph.num_edges, meter)
     return total / den
 
 

@@ -12,6 +12,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covermeasure import cli
 from covermeasure import functionals as FN
@@ -144,22 +146,68 @@ def test_bar_length_is_symmetric_on_dumbbell():
 
 
 def test_non_invariant_form_sets_rejected():
-    # neither set is closed under the edge action, and neither minimum is
-    # invariant: the loop swap moves min(loop0, bar), an edge swap of the
-    # theta moves min(x0, x1)
+    # no set is closed under the edge action, and no minimum is invariant:
+    # the loop swap moves min(loop0, bar), an edge swap of the theta moves
+    # min(x0, x1), and the loop swap moves the last minimum at (1, 2, 1/10)
+    # from 3/5 to 11/10, though not wherever the bar is at least both loops
     with pytest.raises(M.SymmetryViolationError):
         M.integrate_exact(G.dumbbell(), [(F(1), F(0), F(0)), (F(0), F(0), F(1))])
     with pytest.raises(M.SymmetryViolationError):
         M.integrate_exact(G.theta_graph(), [(F(1), F(0), F(0)), (F(0), F(1), F(0))])
+    with pytest.raises(M.SymmetryViolationError):
+        M.integrate_exact(G.dumbbell(), [(F(1), F(1), F(0)), (F(1, 2), F(0), F(1))])
 
 
-def test_closed_form_sets_need_no_test_points(monkeypatch):
-    # a set closed under the edge action has an invariant minimum
-    def no_points(n_coords):
-        raise AssertionError("test points evaluated for a closed form set")
+def _orbit(graph, form):
+    """The images of a form under the edge action (entry i moves to perm[i])."""
+    images = set()
+    for perm in G.edge_action(graph):
+        image = [0] * len(form)
+        for i, c in enumerate(form):
+            image[perm[i]] = c
+        images.add(tuple(image))
+    return sorted(images)
 
-    monkeypatch.setattr(M, "_symmetry_test_points", no_points)
-    assert M.expectation(M.build_limit_measure(3), FN.SYSTOLE) == RANK3_VALUES["systole"][1]
+
+def test_closed_form_sets_run_no_check(monkeypatch):
+    # a set closed under the edge action has an invariant minimum, so the
+    # only cells built are the one per orbit that the integral needs
+    calls = []
+    cell_rays = M._cell_rays
+    monkeypatch.setattr(M, "_cell_rays", lambda *args: calls.append(args) or cell_rays(*args))
+    m3 = M.build_limit_measure(3)
+    assert M.expectation(m3, FN.SYSTOLE) == RANK3_VALUES["systole"][1]
+    cells = 0
+    for block in m3.blocks:
+        forms = {tuple(int(c) for c in form) for form in FN.SYSTOLE.forms_for(block.graph)}
+        assert all(set(_orbit(block.graph, form)) <= forms for form in forms)
+        cells += len({tuple(_orbit(block.graph, form)) for form in forms})
+    assert len(calls) == cells
+
+
+_TYPES = [g for k in (2, 3) for g in G.enumerate_trivalent(k)]
+_COEFFS = st.integers(min_value=0, max_value=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), index=st.integers(min_value=0, max_value=len(_TYPES) - 1))
+def test_dominated_extras_leave_the_union_of_orbits(data, index):
+    # a form above a kept form is never the strict minimum, so adding it to
+    # a union of whole orbits leaves the value alone, closed or not; a
+    # single form whose orbit has more than one member is not invariant
+    graph = _TYPES[index]
+    n = graph.num_edges
+    vector = st.tuples(*[_COEFFS] * n).filter(any)
+    seeds = data.draw(st.lists(vector, min_size=1, max_size=2))
+    union = sorted({image for seed in seeds for image in _orbit(graph, seed)})
+    extras = [tuple(a + b for a, b in zip(union[i], lift)) for i, lift in data.draw(
+        st.lists(st.tuples(st.integers(0, len(union) - 1), vector), min_size=1, max_size=3))]
+    want = M.integrate_exact(graph, union)
+    assert M.integrate_exact(graph, union + extras) == want
+    assert M.integrate_exact(graph, extras + union) == want
+    if len(_orbit(graph, seeds[0])) > 1:
+        with pytest.raises(M.SymmetryViolationError):
+            M.integrate_exact(graph, [seeds[0]])
 
 
 def test_malformed_forms_rejected():

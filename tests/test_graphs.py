@@ -573,10 +573,12 @@ def test_simple_cycle_counts():
 
 def test_dart_structure():
     g = G.theta_graph()
-    assert len(g.darts) == 2 * g.num_edges
+    darts = range(2 * g.num_edges)
     pairing = g.edge_pairing
-    assert all(pairing[pairing[d]] == d and pairing[d] != d for d in g.darts)
-    assert all(len(group) == 3 for group in g.vertex_assignment)
+    assert len(pairing) == len(g.vertex_of_dart) == len(darts)
+    assert all(pairing[pairing[d]] == d and pairing[d] != d for d in darts)
+    groups = [[d for d in darts if g.vertex_of_dart[d] == v] for v in range(g.num_vertices)]
+    assert all(len(group) == 3 for group in groups)
 
 
 def test_invalid_graphs_rejected():

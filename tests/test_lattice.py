@@ -211,14 +211,14 @@ def test_functional_expectation_builds_no_orbits(monkeypatch):
             M.lattice_sigma(g, 11).expectation(f)
 
 
-def test_closed_form_sets_need_no_test_points(monkeypatch):
+def test_closed_form_sets_run_no_check(monkeypatch):
     # SYSTOLE's cycles are closed under the edge action, so their minimum is
     # invariant without a check
-    def no_points(n_coords):
-        raise AssertionError("test points evaluated for a closed form set")
+    def refuse(*args):
+        raise AssertionError("cell built for a closed form set")
 
     want = [M.lattice_sigma(g, 11).expectation(FN.SYSTOLE) for g in _types()]
-    monkeypatch.setattr(M, "_symmetry_test_points", no_points)
+    monkeypatch.setattr(M, "_cell_rays", refuse)
     assert [M.lattice_sigma(g, 11).expectation(FN.SYSTOLE) for g in _types()] == want
 
 
@@ -231,11 +231,14 @@ def test_wrong_length_forms_raise():
 
 def test_non_invariant_forms_raise():
     # the dumbbell's loops are edges 0 and 1; weighting one of them more
-    # breaks the loop swap
-    lopsided = FN.Functional(name="lopsided", scalar=None,
-                             forms_for=lambda graph: ((F(2), F(1), F(0)),))
-    with pytest.raises(M.SymmetryViolationError):
-        M.lattice_sigma(G.dumbbell(), 9).expectation(lopsided)
+    # breaks the loop swap.  The second set agrees with its loop swaps
+    # wherever the bar is at least both loops, but the swap moves its
+    # minimum at (1, 2, 1/10)
+    for forms in (((F(2), F(1), F(0)),), ((F(1), F(1), F(0)), (F(1, 2), F(0), F(1)))):
+        lopsided = FN.Functional(name="lopsided", scalar=None,
+                                 forms_for=lambda graph, forms=forms: forms)
+        with pytest.raises(M.SymmetryViolationError):
+            M.lattice_sigma(G.dumbbell(), 9).expectation(lopsided)
 
 
 @pytest.mark.parametrize("total,parts", [(0, 3), (2, 3), (3, 3), (9, 4), (13, 5)])

@@ -122,3 +122,14 @@ def test_quotients_past_the_float_range_keep_relative_precision():
         got = IV.separating_orthogeodesic_length(IV.PantsBoundary(l1, l2, l3))
         ref = _hexagon_reference(l1, l2, l3)
         assert abs(got - ref) <= 1e-12 * ref, (l1, l2, l3, got, float(ref))
+
+
+def test_short_seam_and_long_second_boundary_keep_relative_precision():
+    # the log form of the seam part u1 cancels when l3 is short or l2 much
+    # longer than l1; there u1 is taken as atanh of tanh(u1), which does not
+    for l1, l2, l3 in ((1.0, 3.0, 1e-12), (0.05, 6.0, 1e-5), (1.0, 1.0, 1e-300),
+                       (1.0, 3.0, 1e-300), (1.0, 60.0, 1.0), (1.0, 40.0, 1.0),
+                       (60.0, 0.05, 1e-200), (6.0, 6.0, 0.5)):
+        got = IV.separating_orthogeodesic_length(IV.PantsBoundary(l1, l2, l3))
+        ref = _hexagon_reference(l1, l2, l3)
+        assert abs(got - ref) <= 1e-12 * ref, (l1, l2, l3, got, float(ref))

@@ -32,6 +32,10 @@ from .measure import (
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
 
+# points per slice: ensembles are drawn, inverted and scored this many
+# points at a time, so scratch beyond their own arrays stays this size
+_SLICE = 4096
+
 
 class SeriesDivergenceError(ValueError):
     """The exponent-weighted series diverges at this exponent (s <= 1)."""
@@ -295,9 +299,10 @@ class SyntheticEnsemble:
     def values(self, f) -> np.ndarray:
         """f at every point, as floats.
 
-        A Functional runs block by block from its linear forms: lattice
-        markers divide their integer minimum once by the resolution, which
-        gives float(f.scalar(marker)) exactly; exact markers use f.kernel.
+        A Functional runs block by block, up to _SLICE points at a time,
+        from its linear forms: lattice markers divide their integer minimum
+        once by the resolution, which gives float(f.scalar(marker))
+        exactly; exact markers use f.kernel.
         A plain callable runs on each marker in point order.
         """
         if not isinstance(f, functionals.Functional):
@@ -305,13 +310,15 @@ class SyntheticEnsemble:
         out = np.empty(len(self))
         # np.unique would also import numpy.ma, about 1 MB that is never used
         for b in np.flatnonzero(np.bincount(self.blocks)):
-            mask = self.blocks == b
             graph = self.graphs[b]
-            if self.resolution is None:
-                out[mask] = f.kernel(graph, self.rows[mask])
-            else:
-                out[mask] = _min_form_ratio(f.forms_for(graph), self.rows[mask],
-                                            self.resolution[mask])
+            forms = f.forms_for(graph) if self.resolution is not None else None
+            idx = np.flatnonzero(self.blocks == b)
+            for start in range(0, len(idx), _SLICE):
+                at = idx[start:start + _SLICE]
+                if forms is None:
+                    out[at] = f.kernel(graph, self.rows[at])
+                else:
+                    out[at] = _min_form_ratio(forms, self.rows[at], self.resolution[at])
         return out
 
 
@@ -355,20 +362,28 @@ def _draw_compositions(rng: np.random.Generator, resolution: np.ndarray,
     per row, as int64 counts.
 
     Each row's parts - 1 cuts are a uniform subset of {0..resolution[i]-2},
-    drawn for all rows at once by Floyd's algorithm: step j draws v in
-    0..top, top = resolution - 1 - k + j with k = parts - 1, and takes top
-    instead when v is already a cut.
+    drawn for all rows at once by Floyd's algorithm: step j draws v below
+    high = resolution - k + j with k = parts - 1, and takes high - 1
+    instead when v is already a cut.  The cuts are held in the leading
+    columns of the result, and the duplicate test runs a slice at a time.
     """
     n, k = len(resolution), parts - 1
-    cuts = np.empty((n, k), dtype=np.int64)
+    out = np.empty((n, parts), dtype=np.int64)
     for j in range(k):
-        top = resolution - 1 - k + j
-        v = rng.integers(0, top + 1)
-        cuts[:, j] = np.where((cuts[:, :j] == v[:, None]).any(axis=1), top, v)
-    cuts.sort(axis=1)
-    bounds = np.concatenate(
-        (np.zeros((n, 1), dtype=np.int64), cuts + 1, resolution[:, None]), axis=1)
-    return np.diff(bounds, axis=1)
+        high = resolution - (k - j)
+        v = rng.integers(0, high)
+        for a in range(0, n, _SLICE):
+            at = slice(a, a + _SLICE)
+            taken = (out[at, :j] == v[at, None]).any(axis=1)
+            out[at, j] = np.where(taken, high[at] - 1, v[at])
+    # the sorted cuts, shifted by one, are the inner part boundaries; the
+    # parts are their differences, taken in place from the right
+    out[:, :k].sort(axis=1)
+    out[:, :k] += 1
+    out[:, k] = resolution
+    for j in range(k, 0, -1):
+        out[:, j] -= out[:, j - 1]
+    return out
 
 
 def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
@@ -397,26 +412,26 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
         )
     rng = np.random.default_rng(seed)
 
-    arrivals = []
-    running = 0.0
-    while len(arrivals) < cap:
-        batch = rng.standard_exponential(min(4096, cap - len(arrivals)))
-        sums = running + np.cumsum(batch)
+    # arrivals come in batches of one slice, each inverted on its own: a
+    # point whose bisection bracket stops changing never changes again, so
+    # this gives the bits of inverting them all at once
+    pieces, n, running = [], 0, 0.0
+    while n < cap:
+        sums = running + np.cumsum(rng.standard_exponential(min(_SLICE, cap - n)))
         running = float(sums[-1])
-        inside = np.log(sums) <= log_n_max
-        arrivals.extend(sums[inside].tolist())
-        if not inside.all():
+        targets = np.log(sums)
+        inside = targets[targets <= log_n_max]
+        pieces.append(_invert_count_function(model, inside, l_max))
+        n += len(inside)
+        if len(inside) < len(targets):
             break
-    targets = np.log(np.asarray(arrivals))
-    lengths = _invert_count_function(model, targets, l_max)
-    n = len(lengths)
+    lengths = np.concatenate(pieces)
+    del pieces
 
     mixture = build_limit_measure(model.rank)
     cum = np.cumsum([float(w) for w in mixture.weights])
-    block_idx = np.minimum(
-        np.searchsorted(cum, rng.random(n), side="right"),
-        len(mixture.blocks) - 1,
-    )
+    block_idx = np.searchsorted(cum, rng.random(n), side="right")
+    np.minimum(block_idx, len(mixture.blocks) - 1, out=block_idx)
     n_edges = mixture.blocks[0].graph.num_edges
 
     if mode == "exact-marker":
@@ -427,7 +442,7 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
     return SyntheticEnsemble(
         lengths=lengths, blocks=block_idx, rows=rows, resolution=resolution,
         graphs=tuple(b.graph for b in mixture.blocks),
-        cap_reached=len(arrivals) >= cap,
+        cap_reached=n >= cap,
     )
 
 
@@ -435,7 +450,8 @@ def ps_measure_expectation(ensemble: SyntheticEnsemble, f, s: float) -> float:
     """Expectation of f under the e^(-s length)-weighted probability measure
     over the ensemble, with f scored by ``SyntheticEnsemble.values``.
 
-    The weighted sum runs left to right over Python floats, in point order.
+    The weighted sum runs left to right over Python floats, in point order,
+    converting _SLICE points at a time.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
@@ -445,15 +461,15 @@ def ps_measure_expectation(ensemble: SyntheticEnsemble, f, s: float) -> float:
         )
     if not ensemble:
         raise ValueError("ensemble is empty")
-    lengths = ensemble.lengths.tolist()
-    values = ensemble.values(f).tolist()
-    lmin = min(lengths)
+    lengths, values = ensemble.lengths, ensemble.values(f)
+    lmin = float(lengths.min())
     num = 0.0
     den = 0.0
-    for l, v in zip(lengths, values):
-        w = math.exp(-s * (l - lmin))
-        num += w * v
-        den += w
+    for a in range(0, len(lengths), _SLICE):
+        for l, v in zip(lengths[a:a + _SLICE].tolist(), values[a:a + _SLICE].tolist()):
+            w = math.exp(-s * (l - lmin))
+            num += w * v
+            den += w
     return num / den
 
 

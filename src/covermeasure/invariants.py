@@ -142,7 +142,9 @@ def separating_orthogeodesic_length(b: PantsBoundary) -> float:
 
         cosh(l1/2) = sinh(u1) sinh(p),    cosh(l2/2) = sinh(u2) sinh(p).
 
-    With r = cosh(l1/2) / cosh(l2/2) and h = l3/2 these solve to
+    The length is symmetric in l1 and l2, so l1 is taken as the longer of
+    the two.  With r = cosh(l1/2) / cosh(l2/2) >= 1 and h = l3/2 these
+    solve to
 
         tanh(u1) = x = sinh(h) / (1/r + cosh(h)).
 
@@ -153,17 +155,27 @@ def separating_orthogeodesic_length(b: PantsBoundary) -> float:
     orthogeodesic doubles p across the seam:
     d = 2 asinh(cosh(l1/2) / sinh(u1)).  Unlike acosh of cosh(p), which
     tends to 1 as l3 grows, no step loses the relative precision: for l1,
-    l2 in [0.05, 60] and l3 from 1e-200 to 400 the result is within about
-    1e-14 relative (d ~ 4 cosh(l1/2) e^(-l3/4) when l1 = l2).  Where
-    sinh(u1) or c1 / sinh(u1) is past the float range, the quotient is
-    taken in logs.  An l1 or l2 past BOUNDARY_LIMIT, where its cosh is
-    past the float range, raises OverflowError naming it.
+    l2 from 0.05 to BOUNDARY_LIMIT and l3 from the least subnormal float
+    to 1500 the result is within 1e-13 relative, and within 2e-14 for l3
+    up to 400 (d ~ 4 cosh(l1/2) e^(-l3/4) when l1 = l2, so the error
+    grows with the conditioning, l3/4).  Where x is below the
+    normal range, d = 2 ln(2 cosh(l1/2) / x) with x in logs; where sinh(u1)
+    or c1 / sinh(u1) is past the float range, the quotient is taken in
+    logs.  An l1 or l2 past BOUNDARY_LIMIT, where its cosh is past the
+    float range, raises OverflowError naming it.
     """
-    c1 = _half_cosh("l1", b.l1)
-    r = c1 / _half_cosh("l2", b.l2)
+    c1, c2 = _half_cosh("l1", b.l1), _half_cosh("l2", b.l2)
+    # the length is symmetric in l1 and l2: the longer one is taken as l1
+    c1, c2 = max(c1, c2), min(c1, c2)
+    r = c1 / c2
     h = b.l3 / 2
     e = math.exp(-h)
-    x = -math.expm1(-b.l3) / (1 + e * (e + 2 / r))
+    top, bottom = -math.expm1(-b.l3), 1 + e * (e + 2 / r)
+    x = top / bottom
+    if x < sys.float_info.min:
+        # below the normal range u1 = sinh(u1) = x to double precision, and
+        # asinh(y) = ln(2y) for y = c1 / x; the logs keep x's lost bits
+        return 2.0 * (math.log(2) + math.log(c1) - math.log(top) + math.log(bottom))
     if x <= 0.5:
         u1 = math.atanh(x)
     else:

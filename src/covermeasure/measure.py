@@ -125,7 +125,8 @@ def build_limit_measure(k: int) -> MeasureMixture:
 
 def _draw_rows(rng, count: int, n_edges: int) -> np.ndarray:
     exps = rng.standard_exponential((count, n_edges))
-    return exps / exps.sum(axis=1, keepdims=True)
+    exps /= exps.sum(axis=1, keepdims=True)
+    return exps
 
 
 def _chunks(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:

@@ -1,9 +1,11 @@
 """Counting constants, exponent-weighted sums, and synthetic ensembles."""
 
+import hashlib
 import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -321,6 +323,18 @@ def test_count_inversion_stops_at_its_fixed_point(rank):
                           _invert_80_steps(model, targets, l_max))
 
 
+def test_count_inversion_by_slices_matches_one_pass():
+    # the ensemble inverts its arrivals one slice at a time
+    model = A.CountingModel(genus=2, rank=3)
+    rng = np.random.default_rng(9)
+    arrivals = np.sort(rng.random(3 * A._SLICE + 5)) * math.exp(model.count_function_log(40.0))
+    targets = np.log(arrivals)
+    pieces = [A._invert_count_function(model, targets[a:a + A._SLICE], 40.0)
+              for a in range(0, len(targets), A._SLICE)]
+    assert np.array_equal(np.concatenate(pieces),
+                          A._invert_count_function(model, targets, 40.0))
+
+
 def test_ensemble_validation():
     model = A.CountingModel(genus=2, rank=2)
     with pytest.raises(ValueError):
@@ -471,6 +485,59 @@ def test_ps_converge_pinned_estimates(argv, estimates, effective_lmax):
         f"covermeasure: warning: the ensemble cap {params['cap']} stopped the "
         f"length process at {effective_lmax:.6g}, short of Lmax "
         f"{params['Lmax']:g}\n")
+
+
+# sha256 of the whole stdout of ensembles spanning several slices, taken
+# before synthesis and scoring ran in slices: the bench's argv at the
+# default cap in both modes, rank 3 at cap 20,000, and runs that the length
+# bound stops (2,956 points at Lmax 9, 32,316 at Lmax 11)
+PS_CONVERGE_SHA256 = [
+    (["--rank", "2", "--Lmax", "40", "--s-list", "1.5,1.1,1.02"],
+     "1849fd31c0a48161834537370f47dab638fcd2a77d0a3974bf1d37c9454da4fe"),
+    (["--rank", "2", "--Lmax", "40", "--s-list", "1.5,1.1,1.02", "--mode", "exact-marker"],
+     "f477c16a940da5d6ded909d6c7d3fb6a2451e8bf49b9fa6e2daba456a88b4962"),
+    (["--rank", "3", "--Lmax", "40", "--seed", "3", "--s-list", "1.5,1.1", "--cap", "20000"],
+     "5a81f312c01513520ff9c89bc12eff5efd959db41444281ec938649971829940"),
+    (["--rank", "3", "--Lmax", "40", "--seed", "3", "--s-list", "1.5,1.1", "--cap", "20000",
+      "--mode", "exact-marker"],
+     "47f020d34d62829f086693e680139f666a743573e43a7c22bdff82f91025ad5b"),
+    (["--rank", "2", "--Lmax", "9", "--seed", "1", "--s-list", "1.5,1.1"],
+     "32fdac3394f22d8c694d9a8e55bc4a56854f67db89615540a8b4819486bdf1b9"),
+    (["--rank", "2", "--Lmax", "11", "--seed", "1", "--s-list", "1.5,1.1"],
+     "72a0e69206fc6a12095576639de2da15d919e86f771e21a9549ff704ebdea5db"),
+    (["--rank", "2", "--Lmax", "11", "--seed", "1", "--s-list", "1.5,1.1", "--mode", "exact-marker"],
+     "8921724b01fbdbcb42bc412762336c05b4bc0fe153e32cf58bf5d4be2dfff604"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PS_CONVERGE_SHA256)
+def test_ps_converge_stdout_pinned_across_slices(argv, digest):
+    out = io.StringIO()
+    assert cli.run(["ps", "converge", "--genus", "2", *argv], stdout=out,
+                   stderr=io.StringIO()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", A.ENSEMBLE_MODES)
+def test_ensemble_scratch_memory_is_bounded(mode):
+    # numpy reports its buffers to tracemalloc.  Drawing and scoring 1e5
+    # points whole took 10 MiB (lattice) and 7 MiB (exact markers) over the
+    # ensemble's own 4.6 / 3.8 MiB; in slices, what remains is a few
+    # whole-array random draws the streams need, about 2.4 / 1.7 MiB
+    model = A.CountingModel(genus=2, rank=2)
+    warm = A.synthesize_ensemble(model, 40.0, mode, seed=0, cap=10)
+    A.ps_measure_expectation(warm, FN.SYSTOLE, 1.5)  # the measure and forms, cached
+    tracemalloc.start()
+    try:
+        ens = A.synthesize_ensemble(model, 40.0, mode, seed=0, cap=100_000)
+        for s in (1.5, 1.1, 1.02):
+            A.ps_measure_expectation(ens, FN.SYSTOLE, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (ens.lengths, ens.blocks, ens.rows, ens.resolution)
+              if a is not None)
+    assert peak - own < 3 * 2 ** 20, (peak, own)
 
 
 def test_ps_converge_mc_target_beyond_work_limit(monkeypatch):

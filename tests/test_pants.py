@@ -133,3 +133,22 @@ def test_short_seam_and_long_second_boundary_keep_relative_precision():
         got = IV.separating_orthogeodesic_length(IV.PantsBoundary(l1, l2, l3))
         ref = _hexagon_reference(l1, l2, l3)
         assert abs(got - ref) <= 1e-12 * ref, (l1, l2, l3, got, float(ref))
+
+
+def test_short_first_boundary_against_the_longest_second_keeps_relative_precision():
+    # r = cosh(l1/2) / cosh(l2/2) is subnormal here, so 2/r overflows unless
+    # the longer of l1 and l2 is taken as l1; the mirror image must agree
+    for l1, l2, l3 in ((0.05, IV.BOUNDARY_LIMIT, 1e-5), (0.05, IV.BOUNDARY_LIMIT, 1.0),
+                       (0.05, 1420.0, 1e-10)):
+        ref = _hexagon_reference(l1, l2, l3)
+        for b in (IV.PantsBoundary(l1, l2, l3), IV.PantsBoundary(l2, l1, l3)):
+            got = IV.separating_orthogeodesic_length(b)
+            assert abs(got - ref) <= 1e-12 * ref, (b, got, float(ref))
+
+
+def test_least_subnormal_third_boundary_has_a_finite_length():
+    # tanh(u1) rounds to 0 at the least subnormal l3, so it is taken in logs
+    for l1, l2 in ((1.0, 1.0), (0.05, 3.0), (IV.BOUNDARY_LIMIT, 0.05)):
+        got = IV.separating_orthogeodesic_length(IV.PantsBoundary(l1, l2, 5e-324))
+        ref = _hexagon_reference(l1, l2, 5e-324)
+        assert abs(got - ref) <= 1e-12 * ref, (l1, l2, got, float(ref))

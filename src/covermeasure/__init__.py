@@ -63,7 +63,6 @@ from .measure import (
     lattice_sigma,
     omega_counts,
     quotient_integral,
-    sample_many,
 )
 
 __version__ = "0.1.0"

@@ -165,18 +165,18 @@ def _cmd_expect(args):
 
 def _cmd_sample(args):
     mixture = measure.build_limit_measure(args.rank)
-    points = measure.sample_many(mixture, args.count, args.seed)
+    labels = [(block.graph.canonical_id(), _graph_name(block.graph))
+              for block in mixture.blocks]
     records = []
     lines = []
-    for mg in points:
-        rec = {"graph_id": mg.graph.canonical_id(),
-               "lengths": [float(x) for x in mg.lengths]}
-        name = _graph_name(mg.graph)
-        if name:
-            rec["name"] = name
-        records.append(rec)
-        lines.append(f"{rec.get('name', rec['graph_id'])}: "
-                     + ",".join(f"{x:.8f}" for x in mg.lengths))
+    for idx, rows in measure.sample_chunks(mixture, args.count, args.seed):
+        for b, lengths in zip(idx.tolist(), rows.tolist()):
+            graph_id, name = labels[b]
+            rec = {"graph_id": graph_id, "lengths": lengths}
+            if name:
+                rec["name"] = name
+            records.append(rec)
+            lines.append(f"{name or graph_id}: " + ",".join(f"{x:.8f}" for x in lengths))
     return {"rank": args.rank, "count": args.count, "seed": args.seed}, records, lines
 
 
@@ -204,7 +204,10 @@ def _cmd_invariant(args):
 
 
 def _cmd_pants_ortho(args):
-    l1, l2, l3 = _parse_float_list(args.boundaries)
+    boundaries = _parse_float_list(args.boundaries)
+    if len(boundaries) != 3:
+        raise ValueError(f"need three boundary lengths, got {len(boundaries)}")
+    l1, l2, l3 = boundaries
     boundary = invariants.PantsBoundary(l1, l2, l3)
     if args.oracle:
         value = invariants.matrix_pants_oracle(boundary)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import InvalidGraphError, _is_connected, bridges
+from .graphs import InvalidGraphError, _is_connected, _links, bridges
 
 
 class InfeasibleGeometryError(ValueError):
@@ -27,8 +27,9 @@ class InfeasibleGeometryError(ValueError):
 # metric-graph functionals
 # ---------------------------------------------------------------------------
 
-def _shortest_path(adj, n, src, dst, skip_edge):
-    """Dijkstra distance src -> dst ignoring edge ``skip_edge``; None if absent."""
+def _shortest_path(links, lengths, n, src, dst, skip_edge):
+    """Dijkstra distance src -> dst over the ``_links`` incidence lists,
+    ignoring edge ``skip_edge``; None if absent."""
     dist = [None] * n
     heap = [(0, src)]
     while heap:
@@ -38,9 +39,9 @@ def _shortest_path(adj, n, src, dst, skip_edge):
         dist[x] = d
         if x == dst:
             return d
-        for y, w, eid in adj[x]:
+        for y, eid in links[x]:
             if eid != skip_edge and dist[y] is None:
-                heapq.heappush(heap, (d + w, y))
+                heapq.heappush(heap, (d + lengths[eid], y))
     return None
 
 
@@ -58,18 +59,13 @@ def systole_from_lengths(edges: Sequence[tuple[int, int]], lengths: Sequence):
     n = max(max(u, v) for u, v in edges) + 1
     if not _is_connected(edges, n):
         raise InvalidGraphError("systole requires a connected graph")
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        if u != v:
-            adj[u].append((v, lengths[i], i))
-            adj[v].append((u, lengths[i], i))
-
+    links = _links(edges, n)
     best = None
     for i, (u, v) in enumerate(edges):
         if u == v:
             cand = lengths[i]
         else:
-            back = _shortest_path(adj, n, u, v, i)
+            back = _shortest_path(links, lengths, n, u, v, i)
             if back is None:
                 continue
             cand = lengths[i] + back

@@ -175,15 +175,6 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
         yield np.repeat(blocks, counts), rows
 
 
-def sample_many(mixture: MeasureMixture, count: int, seed: int) -> list[MetricGraph]:
-    out = []
-    for idx, rows in sample_chunks(mixture, count, seed):
-        for b, row in zip(idx, rows):
-            out.append(MetricGraph(mixture.blocks[int(b)].graph,
-                                   tuple(float(x) for x in row)))
-    return out
-
-
 def _merge_moments(moments, values: np.ndarray):
     """(count, mean, M2) of the union of ``moments`` and ``values`` by the
     pairwise update of Chan, Golub and LeVeque (1983)."""

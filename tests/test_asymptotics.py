@@ -343,6 +343,29 @@ def test_ensemble_validation():
         A.synthesize_ensemble(model, 0.5, "exact-marker", seed=0)
 
 
+EXACT_MARKER_REFUSAL = "marker lengths must be positive and sum to 1"
+LATTICE_MARKER_REFUSAL = "marker counts must be positive and sum to the resolution"
+
+
+def _one_point_ensemble(row, resolution):
+    return A.SyntheticEnsemble(
+        lengths=np.array([1.0]), blocks=np.array([0]), rows=np.array([row]),
+        resolution=None if resolution is None else np.array([resolution]),
+        graphs=(G.theta_graph(),), cap_reached=False)
+
+
+@pytest.mark.parametrize("refused, accepted, resolution, message", [
+    ([0.6, 0.6, -0.2], [0.6, 0.2, 0.2], None, EXACT_MARKER_REFUSAL),
+    ([0.5, 0.3, 0.2 + 2e-9], [0.5, 0.3, 0.2 + 1e-12], None, EXACT_MARKER_REFUSAL),
+    ([2, 0, 3], [2, 1, 2], 5, LATTICE_MARKER_REFUSAL),
+    ([2, 1, 3], [2, 1, 2], 5, LATTICE_MARKER_REFUSAL),
+], ids=["exact-nonpositive", "exact-sum", "lattice-zero", "lattice-sum"])
+def test_ensemble_refuses_markers_off_the_simplex(refused, accepted, resolution, message):
+    with pytest.raises(ValueError, match=message):
+        _one_point_ensemble(refused, resolution)
+    assert len(_one_point_ensemble(accepted, resolution)) == 1
+
+
 # --- weighted expectations --------------------------------------------------------------
 
 def test_ps_measure_constant_is_one():

@@ -1,5 +1,6 @@
 """CLI surface: JSON schema conformance, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 from importlib import resources
@@ -128,6 +129,32 @@ def test_seed_changes_samples():
     _, a, _ = run_cli(["sample", "--rank", "2", "--count", "3", "--seed", "1"])
     _, b, _ = run_cli(["sample", "--rank", "2", "--count", "3", "--seed", "2"])
     assert a != b
+
+
+# sha256 of the whole stdout of 40,000 draws, two chunks of the sampler,
+# taken while each draw was still built as a MetricGraph
+SAMPLE_SHA256 = [
+    ("json", "30fbebafd5b6dd5e035f3b003cf9f48df394c9c6da52dfca568158871b3935b5"),
+    ("csv", "2266680b84a4a3afa32227e3adc690b7bb74fa4ec553c0bb2ca4ad1d9e48d588"),
+    ("text", "f7dd121bb854d579dd3f278132da7dd6afdd3fe4f5018938803145f57eca1f66"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", SAMPLE_SHA256, ids=[f for f, _ in SAMPLE_SHA256])
+def test_sample_stdout_pinned_across_chunks(fmt, digest):
+    code, out, _ = run_cli(["sample", "--rank", "3", "--count", "40000", "--seed", "7",
+                            "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sample_count_zero_prints_no_records():
+    code, out, _ = run_cli(["sample", "--rank", "3", "--count", "0"])
+    assert code == 0
+    assert json.loads(out)["records"] == []
+    for fmt in ("csv", "text"):
+        assert run_cli(["sample", "--rank", "3", "--count", "0", "--format", fmt]) \
+            == (0, "", "")
 
 
 def test_text_and_csv_formats():
@@ -284,6 +311,15 @@ def test_overflow_exits_1(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("covermeasure: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("boundaries", ["1,1", "1,1,1,1"])
+def test_pants_ortho_needs_three_boundaries(boundaries):
+    code, out, err = run_cli(["pants", "ortho", "--boundaries", boundaries])
+    assert code == 1
+    assert out == ""
+    count = len(boundaries.split(","))
+    assert err == f"covermeasure: error: need three boundary lengths, got {count}\n"
 
 
 def test_overflowing_count_names_length_bound():

@@ -148,11 +148,11 @@ def test_omega_growth_ratio():
 
 def test_sample_is_deterministic_and_on_simplex():
     m2 = M.build_limit_measure(2)
-    a = M.sample_many(m2, 1, seed=123)[0]
-    b = M.sample_many(m2, 1, seed=123)[0]
-    assert a == b
-    assert all(x > 0 for x in a.lengths)
-    assert abs(sum(a.lengths) - 1) < 1e-12
+    [(idx_a, a)] = M.sample_chunks(m2, 1, seed=123)
+    [(idx_b, b)] = M.sample_chunks(m2, 1, seed=123)
+    assert np.array_equal(idx_a, idx_b) and np.array_equal(a, b)
+    assert a.shape == (1, 3) and np.all(a > 0)
+    assert abs(a.sum() - 1) < 1e-12
 
 
 def test_sample_block_frequencies():
@@ -352,8 +352,8 @@ def test_integrate_mc_accepts_numpy_integer_count():
 def test_sample_count_validation(count):
     m2 = M.build_limit_measure(2)
     with pytest.raises(M.InvalidSampleCountError):
-        M.sample_many(m2, count, seed=0)
-    assert M.sample_many(m2, 0, seed=0) == []
+        list(M.sample_chunks(m2, count, seed=0))
+    assert list(M.sample_chunks(m2, 0, seed=0)) == []
 
 
 # --- metric graphs ---------------------------------------------------------------------

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import functionals
+from ._lazy import np
 from .graphs import TrivalentGraph, _is_integer, mass_formula
 from .measure import (
     _FLOAT_VOLUME_TOL,

@@ -168,7 +168,6 @@ def _cmd_sample(args):
     labels = [(block.graph.canonical_id(), _graph_name(block.graph))
               for block in mixture.blocks]
     records = []
-    lines = []
     for idx, rows in measure.sample_chunks(mixture, args.count, args.seed):
         for b, lengths in zip(idx.tolist(), rows.tolist()):
             graph_id, name = labels[b]
@@ -176,7 +175,9 @@ def _cmd_sample(args):
             if name:
                 rec["name"] = name
             records.append(rec)
-            lines.append(f"{name or graph_id}: " + ",".join(f"{x:.8f}" for x in lengths))
+    # formatted only if the text renderer consumes them
+    lines = (f"{rec.get('name', rec['graph_id'])}: "
+             + ",".join(f"{x:.8f}" for x in rec["lengths"]) for rec in records)
     return {"rank": args.rank, "count": args.count, "seed": args.seed}, records, lines
 
 

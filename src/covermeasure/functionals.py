@@ -14,9 +14,8 @@ from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import invariants
+from ._lazy import np
 from .graphs import TrivalentGraph, simple_cycles
 
 

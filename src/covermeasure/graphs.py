@@ -20,7 +20,7 @@ from numbers import Integral
 # adds about 3.6 MB of resident memory for nothing used here
 from _blake2 import blake2b
 
-import numpy as np
+from ._lazy import np
 
 DEFAULT_MAX_RANK = 6
 _MAX_RANK_ENV = "COVERMEASURE_MAX_RANK"
@@ -307,13 +307,13 @@ def _invariant_keys(chunk, n) -> list[bytes]:
     sorted order is the same for isomorphic graphs.  The sorted rows matter:
     diagonals and row sums alone merge two pairs of classes at rank 7.
     """
-    # one-hot endpoints, (m, E, 2, n); float64 for BLAS: walk counts are
-    # integers below 3^n, exact up to n = 33
-    ends = np.eye(n)[np.array(chunk)]
+    # one-hot endpoints, (m, E, 2, n); int64, so walk counts (integers
+    # below 3^n) stay exact up to n = 39 and the products never call BLAS
+    ends = np.eye(n, dtype=np.int64)[np.array(chunk)]
     adj = ends[:, :, 0].transpose(0, 2, 1) @ ends[:, :, 1]
     adj = adj + adj.transpose(0, 2, 1)  # a loop adds 2 on the diagonal
     m = len(adj)
-    rows = np.empty((m, n, n, n + 1))  # candidate, vertex, power, features
+    rows = np.empty((m, n, n, n + 1), dtype=np.int64)  # candidate, vertex, power, features
     power = adj
     for j in range(n):
         rows[:, :, j, 0] = np.diagonal(power, axis1=1, axis2=2)
@@ -362,7 +362,8 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     non-loop edge that is no bridge and smooth its ends, and a rank-(k-1)
     graph remains.  If every non-loop edge is a bridge, the graph without
     its loops is a tree; a leaf of it carries a loop, and removing both and
-    smoothing leaves one too.  Rank 2 keys the dumbbell and the theta graph.
+    smoothing leaves one too.  Rank 2 has two candidates, the dumbbell and
+    the theta graph, and they are not isomorphic, so it keys none.
 
     Different keys are never isomorphic, so each class is counted at most
     once; the sum of 1/|Aut| over the classes then equals the mass formula
@@ -370,15 +371,16 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     """
     n = 2 * k - 2
     if k == 2:
-        candidates = iter((dumbbell().edges, theta_graph().edges))
+        reps = [dumbbell().edges, theta_graph().edges]
     else:
         candidates = (child for g in _enumerate(k - 1)
                       for child in _children(g.edges, n - 2))
-    reps: dict[bytes, tuple] = {}
-    for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
-        for key, cand in zip(_invariant_keys(chunk, n), chunk):
-            reps.setdefault(key, cand)
-    found = [canonical_graph(TrivalentGraph(cand)) for cand in reps.values()]
+        keyed: dict[bytes, tuple] = {}
+        for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
+            for key, cand in zip(_invariant_keys(chunk, n), chunk):
+                keyed.setdefault(key, cand)
+        reps = list(keyed.values())
+    found = [canonical_graph(TrivalentGraph(cand)) for cand in reps]
     found = tuple(sorted(found, key=lambda g: _code_of(g)[0]))
     total = sum(Fraction(1, len(automorphism_group(g))) for g in found)
     want = mass_formula(k)
@@ -398,7 +400,7 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
     computes the list.  The rank is capped by the COVERMEASURE_MAX_RANK
     environment variable (default 6); the cap holds for k, not for the
     lower ranks that k is grown from.  On 2 vCPUs rank 7 (2,592 types)
-    takes 24 to 26 s: keys for its 52,380 candidates 4 to 5 s, canonical
+    takes 25 to 27 s: keys for its 52,380 candidates 5 to 6 s, canonical
     search 16 to 19 s, the rest 3 s.
     """
     if not _is_integer(k) or k < 2:

@@ -16,8 +16,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import np
 from .functionals import Functional, integer_forms, integer_matrix, integer_minimum
 from .graphs import (
     InvalidRankError,
@@ -177,15 +176,18 @@ def sample_chunks(mixture: MeasureMixture, n: int, seed: int):
 
 def _merge_moments(moments, values: np.ndarray):
     """(count, mean, M2) of the union of ``moments`` and ``values`` by the
-    pairwise update of Chan, Golub and LeVeque (1983)."""
+    pairwise update of Chan, Golub and LeVeque (1983).  The squares are
+    summed by numpy's pairwise sum, not a BLAS dot product, whose order
+    depends on the BLAS thread count."""
     n_a, mean_a, m2_a = moments
     n_b = len(values)
     mean_b = float(values.mean())
     dev = values - mean_b
+    dev *= dev
     n = n_a + n_b
     delta = mean_b - mean_a
     return (n, mean_a + delta * n_b / n,
-            m2_a + float(dev @ dev) + delta * delta * n_a * n_b / n)
+            m2_a + float(dev.sum()) + delta * delta * n_a * n_b / n)
 
 
 def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, float]:
@@ -207,6 +209,8 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, 
     kernel = f.kernel if isinstance(f, Functional) else (lambda graph, rows: np.array(
         [f(MetricGraph(graph, row)) for row in rows.tolist()], dtype=float))
     n_edges = mixture.blocks[0].graph.num_edges
+    # the first use of a lazily imported numpy, here on the calling thread,
+    # loads it before the pool starts: its loader is not thread-safe before 3.12
     weights = np.array([float(w) for w in mixture.weights])
 
     def score(child, m, exps, sums):

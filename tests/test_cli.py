@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -155,6 +159,53 @@ def test_sample_count_zero_prints_no_records():
     for fmt in ("csv", "text"):
         assert run_cli(["sample", "--rank", "3", "--count", "0", "--format", fmt]) \
             == (0, "", "")
+
+
+def fresh_python(code, *args):
+    """stdout of ``python -c code *args`` in a new interpreter, where numpy is
+    not yet imported, unlike in this one."""
+    src = str(Path(covermeasure.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+# the five short commands of the benchmark's cli-ps workload and two more
+# that neither sample nor key graphs
+NO_NUMPY_COMMANDS = [
+    ["measure", "weights", "--rank", "2"],
+    ["expect", "--rank", "2", "--functional", "systole"],
+    ["invariant", "systole", "--graph", "dumbbell", "--lengths", "1/2,3/10,1/5"],
+    ["pants", "ortho", "--boundaries", "1,1,10"],
+    ["count", "subgroups", "--genus", "2", "--rank", "2", "--L", "20"],
+    ["graphs", "enumerate", "--rank", "2"],
+    ["count", "crit", "--graph", "theta", "--genus", "2", "--L", "12"],
+]
+
+
+def test_commands_without_arrays_never_load_numpy():
+    # numpy's own import loads numpy.linalg, so any access to the lazy
+    # module, at module level or in these commands, shows here
+    code = ("import io, json, sys\n"
+            "from covermeasure import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.run(argv, stdout=io.StringIO()) == 0, argv\n"
+            "print('numpy.linalg' in sys.modules)")
+    assert fresh_python(code, json.dumps(NO_NUMPY_COMMANDS)) == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--rank", "2", "--count", "3"],
+    # rank 2 builds its measure without numpy: integrate_mc loads it, then
+    # starts its worker threads
+    ["expect", "--rank", "2", "--functional", "systole", "--method", "mc",
+     "--samples", "100000"],
+    ["expect", "--rank", "3", "--functional", "systole", "--method", "mc",
+     "--samples", "100000"],
+], ids=lambda a: " ".join(a))
+def test_fresh_interpreter_loads_numpy_on_first_use(argv):
+    code = "import sys; from covermeasure import cli; sys.exit(cli.run(sys.argv[1:]))"
+    assert fresh_python(code, *argv) == run_cli(argv)[1]
 
 
 def test_text_and_csv_formats():

@@ -1,11 +1,14 @@
 """Limit-measure construction, lattice discretizations, and sampling."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +262,21 @@ MC_PINS = {
 def test_integrate_mc_pinned(k, name):
     got = M.integrate_mc(M.build_limit_measure(k), FN.get_functional(name), 10**5, seed=0)
     assert got == pytest.approx(MC_PINS[k, name], rel=1e-12, abs=0)
+
+
+def test_integrate_mc_same_bits_for_any_blas_thread_count():
+    # the squared deviations were once summed by a BLAS dot product, whose
+    # order follows OpenBLAS's thread count: at these arguments the last bit
+    # of the standard error then differed between 1 and 2 threads
+    src = str(Path(M.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("from covermeasure import functionals as FN, measure as M\n"
+            "print(repr(M.integrate_mc(M.build_limit_measure(2), FN.SYSTOLE, 200_000, 0)))")
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=path,
+                                                OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("k, name", sorted(MC_PINS))

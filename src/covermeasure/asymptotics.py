@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -263,17 +263,23 @@ class SyntheticEnsemble:
     graphs: tuple[TrivalentGraph, ...]
     cap_reached: bool
 
+    # the values of each Functional scored so far, by ``values``
+    _scores: dict = field(default_factory=dict, init=False, repr=False)
+
     def __post_init__(self):
         for arr in (self.lengths, self.blocks, self.rows, self.resolution):
             if arr is not None:
                 arr.flags.writeable = False
-        rows = self.rows
-        if self.resolution is None:
-            if not (np.all(rows > 0)
-                    and np.all(np.abs(rows.sum(axis=1) - 1.0) <= _FLOAT_VOLUME_TOL)):
+        rows, resolution = self.rows, self.resolution
+        # checked _SLICE rows at a time, so the scratch stays slice-sized
+        if resolution is None:
+            if not all(np.all(part > 0)
+                       and np.all(np.abs(part.sum(axis=1) - 1.0) <= _FLOAT_VOLUME_TOL)
+                       for part in _slices(rows)):
                 raise ValueError("marker lengths must be positive and sum to 1")
-        elif not (np.all(rows > 0)
-                  and np.array_equal(rows.sum(axis=1), self.resolution)):
+        elif not (len(rows) == len(resolution)
+                  and all(np.all(part > 0) and np.array_equal(part.sum(axis=1), total)
+                          for part, total in zip(_slices(rows), _slices(resolution)))):
             raise ValueError("marker counts must be positive and sum to the resolution")
 
     @property
@@ -301,24 +307,32 @@ class SyntheticEnsemble:
         A Functional runs block by block, up to _SLICE points at a time,
         from its linear forms: lattice markers divide their integer minimum
         once by the resolution, which gives float(f.scalar(marker))
-        exactly; exact markers use f.kernel.
-        A plain callable runs on each marker in point order.
+        exactly; exact markers use f.kernel.  It is scored once per
+        ensemble, into a read-only array that later calls return.
+        A plain callable runs on each marker in point order, at every call.
         """
         if not isinstance(f, functionals.Functional):
             return np.array([float(f(self.marker(i))) for i in range(len(self))])
+        if f in self._scores:
+            return self._scores[f]
         out = np.empty(len(self))
         # np.unique would also import numpy.ma, about 1 MB that is never used
         for b in np.flatnonzero(np.bincount(self.blocks)):
             graph = self.graphs[b]
             forms = f.forms_for(graph) if self.resolution is not None else None
-            idx = np.flatnonzero(self.blocks == b)
-            for start in range(0, len(idx), _SLICE):
-                at = idx[start:start + _SLICE]
+            for at in _slices(np.flatnonzero(self.blocks == b)):
                 if forms is None:
                     out[at] = f.kernel(graph, self.rows[at])
                 else:
                     out[at] = _min_form_ratio(forms, self.rows[at], self.resolution[at])
+        out.flags.writeable = False
+        self._scores[f] = out
         return out
+
+
+def _slices(arr: np.ndarray):
+    """``arr`` in consecutive slices of _SLICE entries along its first axis."""
+    return (arr[a:a + _SLICE] for a in range(0, len(arr), _SLICE))
 
 
 def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
@@ -447,10 +461,12 @@ def synthesize_ensemble(model: CountingModel, l_max: float, mode: str,
 
 def ps_measure_expectation(ensemble: SyntheticEnsemble, f, s: float) -> float:
     """Expectation of f under the e^(-s length)-weighted probability measure
-    over the ensemble, with f scored by ``SyntheticEnsemble.values``.
+    over the ensemble, with f scored by ``SyntheticEnsemble.values``, which
+    scores a Functional once per ensemble, whatever s.
 
-    The weighted sum runs left to right over Python floats, in point order,
-    converting _SLICE points at a time.
+    The weights are math.exp of -s * (length - least length), and the sums
+    run left to right in point order: _SLICE points at a time, the terms
+    are made in numpy and added by np.cumsum after the running total.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
@@ -462,14 +478,13 @@ def ps_measure_expectation(ensemble: SyntheticEnsemble, f, s: float) -> float:
         raise ValueError("ensemble is empty")
     lengths, values = ensemble.lengths, ensemble.values(f)
     lmin = float(lengths.min())
-    num = 0.0
-    den = 0.0
-    for a in range(0, len(lengths), _SLICE):
-        for l, v in zip(lengths[a:a + _SLICE].tolist(), values[a:a + _SLICE].tolist()):
-            w = math.exp(-s * (l - lmin))
-            num += w * v
-            den += w
-    return num / den
+    num = den = 0.0
+    for part, vals in zip(_slices(lengths), _slices(values)):
+        weights = np.fromiter(map(math.exp, ((-s) * (part - lmin)).tolist()),
+                              dtype=float, count=len(part))
+        num = np.cumsum(np.append(num, weights * vals))[-1]
+        den = np.cumsum(np.append(den, weights))[-1]
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,39 @@ def form_minimum(forms_for: Callable, graph: TrivalentGraph,
 
 def integer_matrix(rows, norm: int) -> np.ndarray:
     """M^T for the integer rows M of ``integer_forms``, int64 when
-    max|M| * norm < 2^63 and Python ints otherwise, so x @ M^T and sums of
-    its entries stay exact while the rows x summed have L1-norms adding up
-    to at most ``norm``."""
+    max|M| * norm < 2^63 and Python ints otherwise, so the values M_j . x
+    and their sums stay exact while the rows x summed have L1-norms adding
+    up to at most ``norm``."""
     bound = max(abs(c) for row in rows for c in row) * norm
     return np.array(rows, dtype=np.int64 if bound < 2 ** 63 else object).T
 
 
 def integer_minimum(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """min_j(M_j . counts[i]) per row i, for the matrix M^T of
-    ``integer_matrix``, in its dtype."""
-    return (counts.astype(mat.dtype, copy=False) @ mat).min(axis=1)
+    ``integer_matrix``, in its dtype.
+
+    Each form is summed over the count columns it uses into one reused
+    vector: a zero coefficient skips its column, 1 adds it, any other is
+    multiplied in first.  The forms fold into a running minimum, so no
+    (rows x forms) product is built.  Exact in int64 and object dtype on
+    any layout, and fastest when each column of ``counts`` is contiguous."""
+    cols = counts.astype(mat.dtype, copy=False).T
+    best = np.empty(len(counts), dtype=mat.dtype)
+    value, term = np.empty_like(best), np.empty_like(best)
+    for j, form in enumerate(mat.T.tolist()):
+        out = value if j else best
+        used = [(c, col) for c, col in zip(form, cols) if c]
+        if not used:
+            out.fill(0)
+        for i, (c, col) in enumerate(used):
+            col = col if c == 1 else np.multiply(col, c, out=term)
+            if i:
+                out += col
+            else:
+                np.copyto(out, col)
+        if j:
+            np.minimum(best, value, out=best)
+    return best
 
 
 def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:

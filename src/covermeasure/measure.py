@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from fractions import Fraction
 from math import comb, gcd
 from operator import itemgetter
@@ -239,21 +239,36 @@ def integrate_mc(mixture: MeasureMixture, f, n: int, seed: int) -> tuple[float, 
 # lattice measures
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int) -> np.ndarray:
+def _compositions(total: int, parts: int, lead: tuple = ()) -> np.ndarray:
     """The positive compositions of ``total`` into ``parts`` parts, one per
-    row of an int64 array, in lexicographic order."""
-    if total < parts:
-        return np.zeros((0, parts), dtype=np.int64)
-    cols: list[np.ndarray] = []
-    rest = np.array([total], dtype=np.int64)
+    row of an int64 array in lexicographic order, each after the fixed
+    leading parts ``lead``.
+
+    The array is the transpose of a C-contiguous (columns, rows) block, so
+    each column is one contiguous run of memory.  Level j lists, in order,
+    the distinct prefixes of j parts with how many children each prefix of
+    j - 1 parts has.  From the last level up, each column is expanded once
+    from its level by np.repeat over the number of rows each prefix heads,
+    and each level is released once its column is written."""
+    levels = []
+    rest = np.array([total] if total >= parts else [], dtype=np.int64)
     for later in range(parts - 1, 0, -1):
         # a prefix with ``rest`` left takes 1 .. rest - later next, in order
         counts = rest - later
-        owner = np.repeat(np.arange(len(rest)), counts)
-        part = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner] + 1
-        cols = [col[owner] for col in cols] + [part]
-        rest = rest[owner] - part
-    return np.stack(cols + [rest], axis=1)
+        part = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        rest = np.repeat(rest, counts) - part
+        levels.append((counts, part))
+    block = np.empty((len(lead) + parts, len(rest)), dtype=np.int64)
+    block[:len(lead)] = np.array(lead, dtype=np.int64)[:, None]
+    block[-1] = rest
+    del rest
+    heads = None  # rows headed by each prefix of this level: one each on the last
+    for row in range(len(block) - 2, len(lead) - 1, -1):
+        counts, part = levels.pop()
+        block[row] = part if heads is None else np.repeat(part, heads)
+        if levels:
+            heads = counts if heads is None else np.add.reduceat(heads, np.cumsum(counts) - counts)
+    return block.T
 
 
 def _permuters(graph: TrivalentGraph) -> list[Callable]:
@@ -265,15 +280,18 @@ def _permuters(graph: TrivalentGraph) -> list[Callable]:
 
 def _composition_chunks(total: int, parts: int):
     """The rows of ``_compositions(total, parts)`` in order, as blocks of at
-    most _CHUNK_ROWS rows made by fixing leading parts; none if total < parts."""
-    if total < parts:
-        return
-    if comb(total - 1, parts - 1) <= _CHUNK_ROWS:
-        yield _compositions(total, parts)
-        return
-    for first in range(1, total - parts + 2):
-        for block in _composition_chunks(total - first, parts - 1):
-            yield np.insert(block, 0, first, axis=1)
+    most _CHUNK_ROWS rows made by fixing leading parts, each written once
+    by ``_compositions`` with those parts filled; none if total < parts."""
+
+    def split(total, parts, lead):
+        if comb(total - 1, parts - 1) <= _CHUNK_ROWS:
+            yield _compositions(total, parts, lead)
+            return
+        for first in range(1, total - parts + 2):
+            yield from split(total - first, parts - 1, lead + (first,))
+
+    if total >= parts:
+        yield from split(total, parts, ())
 
 
 def _lattice_orbits(graph: TrivalentGraph, n_slices: int
@@ -281,29 +299,33 @@ def _lattice_orbits(graph: TrivalentGraph, n_slices: int
     """(points, multiplicities) as int64 arrays: the lexicographically least
     point of each orbit, in lexicographic order, and each orbit's size.
 
-    Each permutation acts on all candidate rows of a chunk at once by a
-    column gather.  A row with a lexicographically smaller image, compared
-    column by column (base-N keys would pass 2^63 at rank 6), is no orbit
-    minimum and leaves the candidates.  The permutations fixing a row form
-    its stabiliser, and the orbit size is |G| / |Stab|.  Both are per row,
-    so chunks are filtered one at a time and concatenated in order.
+    Each permutation acts on all candidate rows of a chunk at once: the
+    image's column j is the chunk's column that moves to j, so rows are
+    compared with their images one contiguous column at a time (base-N
+    keys would pass 2^63 at rank 6).  A row with a lexicographically
+    smaller image is no orbit minimum and leaves the candidates.  The
+    permutations fixing a row form its stabiliser, and the orbit size is
+    |G| / |Stab|.  Both are per row, so chunks are filtered one at a time
+    and concatenated in order.
     """
     perms = edge_action(graph)
     points = [np.zeros((0, graph.num_edges), dtype=np.int64)]
     mults = [np.zeros(0, dtype=np.int64)]
-    for reps in _composition_chunks(n_slices, graph.num_edges):
-        stabiliser = np.zeros(len(reps), dtype=np.int64)
+    for block in _composition_chunks(n_slices, graph.num_edges):
+        cols = block.T  # one contiguous row per edge
+        stabiliser = np.zeros(cols.shape[1], dtype=np.int64)
         for perm in perms:
+            smaller = np.zeros(cols.shape[1], dtype=bool)
+            equal = np.ones(cols.shape[1], dtype=bool)
             # entry i moves to perm[i]
-            image = reps[:, np.argsort(perm)]
-            differ = image != reps
-            rows = np.arange(len(reps))
-            first = differ.argmax(axis=1)
-            # a row equal to its image gives column 0 and compares equal there
-            keep = image[rows, first] >= reps[rows, first]
-            reps = reps[keep]
-            stabiliser = stabiliser[keep] + ~differ[keep].any(axis=1)
-        points.append(reps)
+            for j, src in enumerate(np.argsort(perm).tolist()):
+                if src != j:
+                    smaller |= equal & (cols[src] < cols[j])
+                    equal &= cols[src] == cols[j]
+            keep = ~smaller
+            cols = cols[:, keep]
+            stabiliser = stabiliser[keep] + equal[keep]
+        points.append(cols.T)
         mults.append(len(perms) // stabiliser)
     return np.concatenate(points), np.concatenate(mults)
 
@@ -364,8 +386,10 @@ class EmpiricalMeasure:
         rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph),
                                         _WorkMeter(self.graph))
         mat = integer_matrix(rows, self.n_slices * self.count)
-        total = sum(int(integer_minimum(mat, chunk).sum())
-                    for chunk in _composition_chunks(self.n_slices, self.graph.num_edges))
+        # map keeps no block past its call, so one block is held at a time
+        minima = map(partial(integer_minimum, mat),
+                     _composition_chunks(self.n_slices, self.graph.num_edges))
+        total = sum(int(values.sum()) for values in minima)
         return Fraction(total, self.count * den * self.n_slices)
 
 
@@ -390,10 +414,12 @@ def omega_counts(k: int, n_norm: int, predicate: Callable) -> tuple[int, int]:
     total = comb(n_norm + n_edges - 1, n_edges - 1)
     if n_norm == 0:
         return total, 0
-    # nonnegative compositions of N are positive ones of N + E, less one each
+    # nonnegative compositions of N are positive ones of N + E, less one
+    # each: part c is the coordinate (c - 1)/N, built once per value
+    coords = [Fraction(c - 1, n_norm) for c in range(n_norm + 2)]
     hits = sum(1 for chunk in _composition_chunks(n_norm + n_edges, n_edges)
                for point in chunk.tolist()
-               if predicate(tuple(Fraction(c - 1, n_norm) for c in point)))
+               if predicate(tuple(map(coords.__getitem__, point))))
     return total, hits
 
 

@@ -563,6 +563,85 @@ def test_ensemble_scratch_memory_is_bounded(mode):
     assert peak - own < 3 * 2 ** 20, (peak, own)
 
 
+def _ensemble_fields(ens, **changes):
+    fields = dict(lengths=ens.lengths, blocks=ens.blocks, rows=ens.rows,
+                  resolution=ens.resolution, graphs=ens.graphs,
+                  cap_reached=ens.cap_reached)
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize("mode", A.ENSEMBLE_MODES)
+def test_ensemble_check_scratch_is_slice_sized(mode):
+    # checking 1e5 markers with whole-array temporaries took 1.53 MiB
+    # (exact) and 0.86 MiB (lattice) of scratch; a slice at a time, a few
+    # _SLICE-sized arrays
+    model = A.CountingModel(genus=2, rank=2)
+    ens = A.synthesize_ensemble(model, 40.0, mode, seed=0, cap=100_000)
+    tracemalloc.start()
+    try:
+        A.SyntheticEnsemble(**_ensemble_fields(ens))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 18, peak
+
+
+@pytest.mark.parametrize("mode, message", [("exact-marker", EXACT_MARKER_REFUSAL),
+                                           ("lattice-marker", LATTICE_MARKER_REFUSAL)])
+def test_ensemble_checks_markers_in_every_slice(mode, message):
+    model = A.CountingModel(genus=2, rank=2)
+    ens = A.synthesize_ensemble(model, 40.0, mode, seed=2, cap=2 * A._SLICE + 5)
+    for at in (0, A._SLICE, len(ens) - 1):
+        rows = ens.rows.copy()
+        rows[at, 0] = 0
+        with pytest.raises(ValueError, match=message):
+            A.SyntheticEnsemble(**_ensemble_fields(ens, rows=rows))
+    if ens.resolution is not None:
+        for resolution in (ens.resolution[:-1], np.append(ens.resolution, 3)):
+            with pytest.raises(ValueError, match=message):
+                A.SyntheticEnsemble(**_ensemble_fields(ens, resolution=resolution))
+
+
+@pytest.mark.parametrize("mode", A.ENSEMBLE_MODES)
+def test_ps_measure_sums_left_to_right(mode):
+    # the slice sums add every term in the order of a plain Python loop
+    model = A.CountingModel(genus=2, rank=2)
+    ens = A.synthesize_ensemble(model, 40.0, mode, seed=3, cap=3 * A._SLICE + 17)
+    lengths, values = ens.lengths.tolist(), ens.values(FN.SYSTOLE).tolist()
+    lmin = min(lengths)
+    for s in (1.5, 1.1, 1.02):
+        num = den = 0.0
+        for l, v in zip(lengths, values):
+            w = math.exp(-s * (l - lmin))
+            num += w * v
+            den += w
+        assert A.ps_measure_expectation(ens, FN.SYSTOLE, s) == num / den
+
+
+@pytest.mark.parametrize("mode", A.ENSEMBLE_MODES)
+def test_ps_measure_scores_each_functional_once(mode):
+    calls = []
+
+    def forms_for(graph):
+        calls.append("forms")
+        return FN.cycle_forms(graph)
+
+    def kernel(graph, rows):
+        calls.append("kernel")
+        return FN.SYSTOLE.kernel(graph, rows)
+
+    counted = FN.Functional(name="counted", scalar=None, forms_for=forms_for, kernel=kernel)
+    model = A.CountingModel(genus=2, rank=3)
+    ens = A.synthesize_ensemble(model, 11.0, mode, seed=7, cap=1500)
+    first = A.ps_measure_expectation(ens, counted, 1.5)
+    scored = len(calls)
+    assert scored > 0
+    assert [A.ps_measure_expectation(ens, counted, s) for s in (1.5, 1.1, 1.02)][0] == first
+    assert len(calls) == scored
+    with pytest.raises(ValueError):
+        ens.values(counted)[0] = 1.0
+
+
 def test_ps_converge_mc_target_beyond_work_limit(monkeypatch):
     monkeypatch.setattr(M, "EXACT_WORK_LIMIT", 10)
     out, err = io.StringIO(), io.StringIO()

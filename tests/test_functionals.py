@@ -61,6 +61,28 @@ def test_kernel_keeps_constant_forms_exact():
         assert f.kernel(g, rows).tolist() == [c] * 40
 
 
+# forms as columns of M^T: coefficients 0, 1, -2 and 7, an all-zero form,
+# and a form whose first used coefficient is not 1
+INTEGER_FORMS = ((1, 0, 1, 1), (0, 0, 0, 0), (7, -2, 0, 1), (0, 1, 1, 0), (-2, 7, 7, 0))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("forms", [INTEGER_FORMS, INTEGER_FORMS[2:3]], ids=["five", "single"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_rows", [0, 1, 37])
+def test_integer_minimum_matches_matmul(dtype, forms, order, n_rows):
+    rng = np.random.default_rng(n_rows)
+    counts = np.asarray(rng.integers(1, 2 ** 20, (n_rows, 4)), order=order)
+    mat = np.array(forms, dtype=dtype).T
+    if dtype is object:
+        # Python ints past int64, as integer_matrix gives for large norms
+        mat = mat * 2 ** 70
+    got = FN.integer_minimum(mat, counts)
+    want = (counts.astype(dtype) @ mat).min(axis=1) if n_rows else np.zeros(0, dtype)
+    assert got.dtype == mat.dtype
+    assert got.tolist() == want.tolist()
+
+
 def test_bridge_constants():
     assert FN.BRIDGE.scalar(MetricGraph(G.dumbbell(), (0.4, 0.4, 0.2))) == 1
     assert FN.BRIDGE.scalar(MetricGraph(G.theta_graph(), (0.4, 0.4, 0.2))) == 0

@@ -8,6 +8,7 @@ code with the integer min-of-forms evaluation.
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -248,6 +249,33 @@ def test_composition_chunks_split_in_order(monkeypatch, total, parts):
     assert all(len(chunk) <= 4 for chunk in chunks)
     rows = [tuple(row) for chunk in chunks for row in chunk.tolist()]
     assert rows == list(_positive_compositions(total, parts))
+    for chunk in chunks:
+        # each column is one contiguous run of memory
+        assert chunk.dtype == np.int64 and chunk.T.flags.c_contiguous
+    if len(chunks) > 1:
+        # every block of a split fixes at least its first part
+        assert all(len(set(chunk[:, 0].tolist())) == 1 for chunk in chunks)
+
+
+def test_lattice_sum_holds_one_block_of_scratch():
+    # rank 3, N = 36: C(35, 5) = 324,632 compositions in blocks of C(34 - j, 4)
+    # rows for first part j; the largest holds 46,376 rows of 6 columns.
+    # Whole (rows x forms) products, a copy of each block per fixed leading
+    # part and the previous block alive while the next was made took about
+    # 15 row vectors on top of the largest block; the column sums and the
+    # levels of the generator take about 3
+    n_slices, rows = 36, comb(34, 4)
+    for g in _types((3,)):
+        sigma = M.lattice_sigma(g, n_slices)
+        M.lattice_sigma(g, 9).expectation(FN.SYSTOLE)  # the forms, cached
+        tracemalloc.start()
+        try:
+            sigma.expectation(FN.SYSTOLE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * rows * g.num_edges
+        assert peak < block + 5 * 8 * rows, (g, peak, block)
 
 
 def test_small_chunks_give_same_results(monkeypatch):

@@ -240,8 +240,19 @@ def _cmd_count_crit(args):
 
 
 def _cmd_ps_sum(args):
+    lengths = []
     with open(args.lengths_file) as fh:
-        lengths = [float(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                value = float(line)
+            except ValueError:  # one message for a non-number and a NaN
+                value = math.nan
+            if math.isnan(value):  # NaN would drop out of every sum
+                raise ValueError(f"{args.lengths_file}, line {number}: "
+                                 f"not a number: {line.strip()}")
+            lengths.append(value)
     bound = args.L if args.L is not None else max(lengths, default=0.0)
     direct = asymptotics.ps_partial_sum(lengths, args.s, bound)
     via_int = asymptotics.ps_via_stieltjes(lengths, args.s, bound)

@@ -93,24 +93,6 @@ class TrivalentGraph:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges
 
-    @property
-    def edge_pairing(self) -> tuple[int, ...]:
-        """Fixed-point-free involution on darts: dart 2i <-> dart 2i+1."""
-        pairing = []
-        for i in range(self.num_edges):
-            pairing.extend((2 * i + 1, 2 * i))
-        return tuple(pairing)
-
-    @property
-    def vertex_of_dart(self) -> tuple[int, ...]:
-        out = []
-        for u, v in self.edges:
-            out.extend((u, v))
-        return tuple(out)
-
-    def canonical_form(self) -> bytes:
-        return canonical_form(self)
-
     def canonical_id(self) -> str:
         return canonical_form(self).hex()
 

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import itemgetter
 from typing import Callable
 
@@ -476,8 +476,10 @@ def _cell_rays(constraints, n: int, meter: _WorkMeter):
 
     Rays are primitive integer vectors.  Constraint j < n is y_j >= 0 and
     constraint n + k is constraints[k]; each ray comes with the bit mask of
-    the constraints tight on it.  Two rays are adjacent when no third ray
-    is tight on every constraint tight on both (Fukuda and Prodon, 1996).
+    the constraints tight on it.  Two rays p and q that share at least
+    n - 2 tight constraints are adjacent exactly when no third ray's mask
+    contains tight[p] & tight[q] (Fukuda and Prodon, 1996); p and q
+    themselves always do, hence the count of 2.
     """
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     tight = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
@@ -485,34 +487,24 @@ def _cell_rays(constraints, n: int, meter: _WorkMeter):
         bit = 1 << (n + k)
         vals = [_dot(h, r) for r in rays]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
+        if not neg and any(h):
             # Full dimension survives a cut that keeps an interior point;
-            # without one the cone lies in the hyperplane h.y = 0.
+            # without one the cone lies in the hyperplane h.y = 0, unless
+            # h is zero and holds everywhere.
             return None
-        pos = [i for i, v in enumerate(vals) if v > 0]
         new_rays, new_tight = [], []
-        if pos:
-            rays_on = _rays_tight_on(tight, n + k)
-            everyone = (1 << len(rays)) - 1
-            for p in pos:
-                for q in neg:
-                    common = tight[p] & tight[q]
-                    if common.bit_count() < n - 2:
-                        continue
-                    pair = (1 << p) | (1 << q)
-                    shared = everyone
-                    for c in _bit_indices(common):
-                        shared &= rays_on[c]
-                        if shared == pair:
-                            break
-                    if shared != pair:
-                        continue
-                    a, b = vals[p], vals[q]
-                    ray = [a * y - b * x for x, y in zip(rays[p], rays[q])]
-                    g = gcd(*ray)
-                    new_rays.append(tuple(v // g for v in ray))
-                    new_tight.append(common | bit)
-            meter.add(len(new_rays))
+        for p in (i for i, v in enumerate(vals) if v > 0):
+            for q in neg:
+                common = tight[p] & tight[q]
+                if (common.bit_count() < n - 2
+                        or sum(t & common == common for t in tight) > 2):
+                    continue
+                a, b = vals[p], vals[q]
+                ray = [a * y - b * x for x, y in zip(rays[p], rays[q])]
+                g = gcd(*ray)
+                new_rays.append(tuple(v // g for v in ray))
+                new_tight.append(common | bit)
+        meter.add(len(new_rays))
         keep = [i for i, v in enumerate(vals) if v <= 0]
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + new_tight
@@ -586,12 +578,10 @@ def _cell_integral(rep, forms, n: int, meter: _WorkMeter) -> Fraction:
     for simplex in _pulling_simplices((1 << len(rays)) - 1, n, facet_masks):
         meter.add()
         idx = list(_bit_indices(simplex))
-        prod = 1
-        for i in idx:
-            prod *= sums[i]
-        num = sum(values[i] * (prod // sums[i]) for i in idx)
+        scale = prod(sums[i] for i in idx)
+        num = sum(values[i] * (scale // sums[i]) for i in idx)
         det = _bareiss_det([rays[i] for i in idx])
-        total += Fraction(abs(det) * num, prod * prod)
+        total += Fraction(abs(det) * num, scale * scale)
     return total / n
 
 

@@ -390,3 +390,18 @@ def test_non_finite_json_result_exits_1(tmp_path):
     assert "not JSON compliant" in err
     code, out, _ = run_cli(argv + ["--format", "text"])
     assert code == 0 and "nan" in out
+
+
+@pytest.mark.parametrize("text, line", [("nan\n1\n2\n", 1), ("1\n\n2\n-NaN\n", 4),
+                                        ("1\n2,5\n", 2)],
+                         ids=["first-line", "later-line", "non-number"])
+def test_ps_sum_refuses_nan_length(tmp_path, text, line):
+    # a NaN first line made every sum 0.0; a later one was counted but not summed
+    lengths = tmp_path / "lengths.txt"
+    lengths.write_text(text)
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(["ps", "sum", "--lengths-file", str(lengths),
+                                  "--s", "1.5", "--format", fmt])
+        assert code == 1
+        assert out == ""
+        assert f"line {line}: not a number" in err and "Traceback" not in err

@@ -7,8 +7,10 @@ integrator; agreement is required within twice the mesh.
 
 import io
 import json
+import math
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -257,6 +259,73 @@ def test_forms_with_different_denominators():
 def test_cell_of_measure_zero():
     # 2 * sum(x) is never the minimum, so its cell lies in no open region
     assert M.integrate_exact(G.theta_graph(), [(1, 1, 1), (2, 2, 2)]) == 1
+
+
+def brute_cell_rays(constraints, n):
+    """Sorted (ray, tight mask) pairs of {y >= 0, h.y <= 0 for h in
+    constraints}: the primitive feasible solutions of every n - 1 of the
+    constraints whose rows have rank n - 1, by Gaussian elimination in
+    Fractions."""
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows += [tuple(-c for c in h) for h in constraints]
+    found = set()
+    for subset in combinations(rows, n - 1):
+        m = [list(map(F, r)) for r in subset]
+        pivots = []
+        for col in range(n):
+            at = next((i for i in range(len(pivots), n - 1) if m[i][col]), None)
+            if at is None:
+                continue
+            i = len(pivots)
+            m[i], m[at] = m[at], m[i]
+            m[i] = [x / m[i][col] for x in m[i]]
+            for j in range(n - 1):
+                if j != i and m[j][col]:
+                    m[j] = [a - m[j][col] * b for a, b in zip(m[j], m[i])]
+            pivots.append(col)
+        if len(pivots) != n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        ray = [F(0)] * n
+        ray[free] = F(1)
+        for i, col in enumerate(pivots):
+            ray[col] = -m[i][free]
+        scale = math.lcm(*(x.denominator for x in ray))
+        ray = [int(x * scale) for x in ray]
+        ray = [x // math.gcd(*ray) for x in ray]
+        for sign in (1, -1):
+            vals = [sum(a * sign * x for a, x in zip(r, ray)) for r in rows]
+            if all(v >= 0 for v in vals):
+                mask = sum(1 << i for i, v in enumerate(vals) if v == 0)
+                found.add((tuple(sign * x for x in ray), mask))
+    return sorted(found)
+
+
+def test_cell_rays_match_brute_force():
+    # Random integer cones: the double description's rays and tight masks,
+    # sorted as a list so that a duplicate shows, are the brute-force ones,
+    # and it gives None exactly when those rays span fewer than n dimensions.
+    rng = random.Random(20261020)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(3, 5)
+        cuts = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        expected = brute_cell_rays(cuts, n)
+        full = np.linalg.matrix_rank(np.array([r for r, _ in expected] or [[0] * n])) == n
+        cell = M._cell_rays(cuts, n, M._WorkMeter(G.theta_graph()))
+        assert (cell is not None) == full, cuts
+        if full:
+            assert sorted(zip(*cell)) == expected, cuts
+        outcomes.add(full)
+    assert outcomes == {True, False}
+    # A zero cut holds everywhere.  In the second cone y_0 >= 0 and the
+    # cut -y_0 <= 0 both hold the square e2, e1+e2, e1+e3, e3, so its
+    # diagonal shares n - 2 tight constraints without being an edge.
+    for cuts in ([(1, -1, 0), (0, 0, 0)], [(0, 1, -1, -1), (-1, 0, 0, 0), (0, 0, 1, -1)]):
+        n = len(cuts[0])
+        cell = M._cell_rays(cuts, n, M._WorkMeter(G.theta_graph()))
+        assert sorted(zip(*cell)) == brute_cell_rays(cuts, n)
 
 
 def test_rank4_systole_exact_and_within_mc():

@@ -70,13 +70,19 @@ def naive_classes(n):
     return classes
 
 
+def dart_views(graph):
+    """(pairing, vertex of each dart): darts 2i and 2i+1 belong to edge
+    i = (u, v), at u and at v, so the pairing is d -> d ^ 1."""
+    pairing = tuple(d ^ 1 for d in range(2 * graph.num_edges))
+    return pairing, tuple(x for edge in graph.edges for x in edge)
+
+
 def naive_automorphisms(graph):
     """All dart permutations satisfying the automorphism conditions, found
     by trying every vertex bijection and every per-edge image/orientation."""
     edges = graph.edges
     n_edges = len(edges)
-    vod = graph.vertex_of_dart
-    pairing = graph.edge_pairing
+    pairing, vod = dart_views(graph)
     results = set()
     for sigma in permutations(range(graph.num_vertices)):
         # possible image edges for each edge under sigma
@@ -245,7 +251,7 @@ def test_canonical_form_computed_once_per_graph(monkeypatch):
 
 def test_canonical_form_cache_keeps_canonical_labellings_only():
     relabelled = G.TrivalentGraph(((0, 1), (0, 0), (1, 1)))
-    assert relabelled.canonical_form() == G.dumbbell().canonical_form()
+    assert G.canonical_form(relabelled) == G.canonical_form(G.dumbbell())
     assert relabelled not in G._codes
     assert G.canonical_graph(relabelled) in G._codes
 
@@ -263,7 +269,7 @@ def test_enumeration_deterministic_order():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_enumerated_graphs_are_valid(k):
     found = G.enumerate_trivalent(k)
-    assert len({g.canonical_form() for g in found}) == len(found)
+    assert len({G.canonical_form(g) for g in found}) == len(found)
     for g in found:
         assert g.rank == k
         assert g.num_vertices == 2 * k - 2
@@ -456,8 +462,7 @@ def test_group_closure(k):
 
 def test_automorphisms_commute_with_pairing():
     for g in G.enumerate_trivalent(3):
-        pairing = g.edge_pairing
-        vod = g.vertex_of_dart
+        pairing, vod = dart_views(g)
         for perm in G.automorphism_group(g):
             assert all(perm[pairing[d]] == pairing[perm[d]]
                        for d in range(len(perm)))
@@ -526,14 +531,14 @@ def test_canonical_form_is_relabeling_invariant(data):
     perm = data.draw(st.permutations(range(g.num_vertices)))
     relabeled = tuple(sorted(tuple(sorted((perm[u], perm[v])))
                              for u, v in g.edges))
-    assert G.TrivalentGraph(relabeled).canonical_form() == g.canonical_form()
+    assert G.canonical_form(G.TrivalentGraph(relabeled)) == G.canonical_form(g)
 
 
 def test_canonical_forms_distinct_across_classes():
     forms = set()
     for k in (2, 3, 4):
         for g in G.enumerate_trivalent(k):
-            forms.add(g.canonical_form())
+            forms.add(G.canonical_form(g))
     assert len(forms) == 2 + 5 + 17
 
 
@@ -544,13 +549,13 @@ def test_canonical_form_stable_value():
 
 
 def test_dumbbell_theta_not_isomorphic():
-    assert G.dumbbell().canonical_form() != G.theta_graph().canonical_form()
+    assert G.canonical_form(G.dumbbell()) != G.canonical_form(G.theta_graph())
 
 
 def test_resolve_graph_roundtrip():
     for g in G.enumerate_trivalent(3):
         again = G.resolve_graph(g.canonical_id())
-        assert again.canonical_form() == g.canonical_form()
+        assert G.canonical_form(again) == G.canonical_form(g)
     assert G.resolve_graph("theta").canonical_id() \
         == G.theta_graph().canonical_id()
     with pytest.raises(G.InvalidGraphError):
@@ -574,10 +579,10 @@ def test_simple_cycle_counts():
 def test_dart_structure():
     g = G.theta_graph()
     darts = range(2 * g.num_edges)
-    pairing = g.edge_pairing
-    assert len(pairing) == len(g.vertex_of_dart) == len(darts)
+    pairing, vod = dart_views(g)
+    assert len(pairing) == len(vod) == len(darts)
     assert all(pairing[pairing[d]] == d and pairing[d] != d for d in darts)
-    groups = [[d for d in darts if g.vertex_of_dart[d] == v] for v in range(g.num_vertices)]
+    groups = [[d for d in darts if vod[d] == v] for v in range(g.num_vertices)]
     assert all(len(group) == 3 for group in groups)
 
 

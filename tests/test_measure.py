@@ -51,10 +51,10 @@ def test_weights_sum_to_one(k):
 
 def test_weight_lookup():
     m2 = M.build_limit_measure(2)
-    weight_of = {b.graph.canonical_form(): w for b, w in zip(m2.blocks, m2.weights)}
-    assert weight_of[G.dumbbell().canonical_form()] == F(3, 5)
+    weight_of = {G.canonical_form(b.graph): w for b, w in zip(m2.blocks, m2.weights)}
+    assert weight_of[G.canonical_form(G.dumbbell())] == F(3, 5)
     with pytest.raises(KeyError):
-        weight_of[G.complete_graph_k4().canonical_form()]
+        weight_of[G.canonical_form(G.complete_graph_k4())]
 
 
 # --- lattice points and sigma measures -------------------------------------------

@@ -305,10 +305,10 @@ class SyntheticEnsemble:
         """f at every point, as floats.
 
         A Functional runs block by block, up to _SLICE points at a time,
-        from its linear forms: lattice markers divide their integer minimum
-        once by the resolution, which gives float(f.scalar(marker))
-        exactly; exact markers use f.kernel.  It is scored once per
-        ensemble, into a read-only array that later calls return.
+        from its linear forms M / d: lattice markers divide their integer
+        minimum once by d times the resolution, which gives
+        float(f.scalar(marker)) exactly; exact markers use f.kernel.  It is
+        scored once per ensemble, into a read-only array that later calls return.
         A plain callable runs on each marker in point order, at every call.
         """
         if not isinstance(f, functionals.Functional):
@@ -318,13 +318,23 @@ class SyntheticEnsemble:
         out = np.empty(len(self))
         # np.unique would also import numpy.ma, about 1 MB that is never used
         for b in np.flatnonzero(np.bincount(self.blocks)):
-            graph = self.graphs[b]
-            forms = f.forms_for(graph) if self.resolution is not None else None
-            for at in _slices(np.flatnonzero(self.blocks == b)):
-                if forms is None:
+            graph, points = self.graphs[b], np.flatnonzero(self.blocks == b)
+            if self.resolution is None:
+                for at in _slices(points):
                     out[at] = f.kernel(graph, self.rows[at])
-                else:
-                    out[at] = _min_form_ratio(forms, self.rows[at], self.resolution[at])
+                continue
+            rows, den = functionals._graph_forms(f.forms_for, graph)
+            top = max(int(self.resolution[at].max()) for at in _slices(points))
+            # counts are positive and sum to the resolution, so no form value
+            # or denominator exceeds max(|M|, d) * top: below 2^53 both are
+            # exact floats, and one division rounds the exact ratio correctly
+            bound = max(den, *(abs(c) for row in rows for c in row)) * top
+            if bound > 2 ** 53:
+                raise OverflowError(f"form values up to {bound} are not exact in float64")
+            mat = functionals.integer_matrix(rows, top)
+            for at in _slices(points):
+                out[at] = (functionals.integer_minimum(mat, self.rows[at])
+                           / (den * self.resolution[at]))
         out.flags.writeable = False
         self._scores[f] = out
         return out
@@ -333,21 +343,6 @@ class SyntheticEnsemble:
 def _slices(arr: np.ndarray):
     """``arr`` in consecutive slices of _SLICE entries along its first axis."""
     return (arr[a:a + _SLICE] for a in range(0, len(arr), _SLICE))
-
-
-def _min_form_ratio(forms, counts: np.ndarray, resolution: np.ndarray) -> np.ndarray:
-    """min over the rational forms of form . counts / resolution, per row,
-    correctly rounded to float."""
-    top = int(resolution.max(initial=0))
-    rows, den = functionals.integer_forms(forms)
-    mat = functionals.integer_matrix(rows, top)
-    # counts are positive and sum to the resolution, so no form value or
-    # denominator exceeds max(|M|, den) * resolution: below 2^53 both are
-    # exact floats, and one division rounds the exact ratio correctly
-    bound = max(den, int(np.abs(mat).max())) * top
-    if bound > 2 ** 53:
-        raise OverflowError(f"form values up to {bound} are not exact in float64")
-    return functionals.integer_minimum(mat, counts) / (den * resolution)
 
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,

@@ -36,16 +36,6 @@ def _rational_fields(value: Fraction, prefix: str = "") -> dict:
     }
 
 
-def _parse_lengths(text: str) -> list[Fraction]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ValueError("empty length entry")
-        out.append(Fraction(tok))
-    return out
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a finite float."""
     try:
@@ -57,8 +47,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _parse_list(text: str, parse) -> list:
+    """The comma-separated entries of ``text``, each read by ``parse``; an
+    empty argument has none, and an empty entry raises ValueError."""
+    tokens = text.split(",") if text.strip() else []
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"empty entry in {text!r}")
+    return [parse(tok) for tok in tokens]
+
+
 def _parse_float_list(text: str) -> list[float]:
-    out = [float(tok) for tok in text.split(",") if tok.strip()]
+    out = _parse_list(text, float)
     for value in out:
         if not math.isfinite(value):
             raise ValueError(f"not a finite number: {value!r}")
@@ -183,7 +182,7 @@ def _cmd_sample(args):
 
 def _cmd_invariant(args):
     graph = graphs.resolve_graph(args.graph)
-    lengths = _parse_lengths(args.lengths)
+    lengths = _parse_list(args.lengths, Fraction)
     if len(lengths) != graph.num_edges:
         raise ValueError(
             f"graph has {graph.num_edges} edges but {len(lengths)} lengths given"

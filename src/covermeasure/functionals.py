@@ -32,21 +32,33 @@ class Functional:
             object.__setattr__(self, "kernel", partial(form_minimum, self.forms_for))
 
 
-def integer_forms(forms) -> tuple[tuple[tuple[int, ...], ...], int]:
+def integer_forms(forms, n_edges: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(M, d) with forms = M / d: each form's coefficients as Python ints
-    over the least common denominator d of all of them, one row per form."""
+    over the least common denominator d of all of them, one row per form;
+    ValueError unless there are forms, each of ``n_edges`` coefficients."""
     forms = [[Fraction(c) for c in form] for form in forms]
     if not forms:
         raise ValueError("need at least one linear form")
+    if any(len(form) != n_edges for form in forms):
+        raise ValueError("forms must have one coefficient per edge")
     d = lcm(*(c.denominator for form in forms for c in form))
     return tuple(tuple(c.numerator * d // c.denominator for c in form) for form in forms), d
 
 
 @lru_cache(maxsize=None)
+def _graph_forms(forms_for: Callable, graph: TrivalentGraph):
+    """``integer_forms`` of ``forms_for(graph)``, converted and checked once
+    per pair for every path that scores a Functional."""
+    return integer_forms(forms_for(graph), graph.num_edges)
+
+
+@lru_cache(maxsize=None)
 def _float_forms(forms_for: Callable, graph: TrivalentGraph) -> tuple[np.ndarray, float]:
-    """(M - m, m) for the float matrix M of ``forms_for(graph)`` and its
-    least coefficient m; read-only, as every caller shares it."""
-    mat = np.array([[float(c) for c in form] for form in forms_for(graph)])
+    """(M - m, m) for the float matrix M of ``forms_for(graph)``, each entry
+    c / d correctly rounded as float(Fraction(c, d)) is, and its least
+    coefficient m; read-only, as every caller shares it."""
+    rows, den = _graph_forms(forms_for, graph)
+    mat = np.array([[c / den for c in row] for row in rows])
     low = float(mat.min())
     mat -= low
     mat.flags.writeable = False
@@ -100,30 +112,20 @@ def integer_minimum(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return best
 
 
-def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[Fraction, ...], ...]:
+def cycle_forms(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
     """Incidence vectors of all simple cycles; the systole is their minimum."""
-    ncols = graph.num_edges
-    forms = []
-    for cyc in simple_cycles(graph):
-        row = [Fraction(0)] * ncols
-        for e in cyc:
-            row[e] = Fraction(1)
-        forms.append(tuple(row))
-    return tuple(forms)
+    cycles = map(frozenset, simple_cycles(graph))
+    return tuple(tuple(int(e in cyc) for e in range(graph.num_edges)) for cyc in cycles)
 
 
 def _bridge_forms(graph: TrivalentGraph):
-    c = Fraction(invariants.bridge_indicator(graph))
     # on the volume-one simplex a constant c equals the linear form c * sum(x)
-    return ((c,) * graph.num_edges,)
+    return ((invariants.bridge_indicator(graph),) * graph.num_edges,)
 
 
 def _unit_forms(graph: TrivalentGraph):
-    n = graph.num_edges
-    return tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    edges = range(graph.num_edges)
+    return tuple(tuple(int(j == i) for j in edges) for i in edges)
 
 
 SYSTOLE = Functional(name="systole", scalar=invariants.systole, forms_for=cycle_forms)

@@ -17,7 +17,8 @@ from operator import itemgetter
 from typing import Callable
 
 from ._lazy import np
-from .functionals import Functional, integer_forms, integer_matrix, integer_minimum
+from .functionals import (Functional, _graph_forms, integer_forms, integer_matrix,
+                          integer_minimum)
 from .graphs import (
     InvalidRankError,
     TrivalentGraph,
@@ -383,8 +384,8 @@ class EmpiricalMeasure:
             raise ValueError("empirical measure has zero mass")
         if not isinstance(f, Functional):
             return sum(w * f(mg) for mg, w in self.atoms) / self.total_mass
-        rows, _, den = _invariant_forms(self.graph, f.forms_for(self.graph),
-                                        _WorkMeter(self.graph))
+        rows, den = _graph_forms(f.forms_for, self.graph)
+        _invariant_forms(self.graph, rows, _WorkMeter(self.graph))
         mat = integer_matrix(rows, self.n_slices * self.count)
         # map keeps no block past its call, so one block is held at a time
         minima = map(partial(integer_minimum, mat),
@@ -598,9 +599,9 @@ def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
     return orbits
 
 
-def _invariant_forms(graph: TrivalentGraph, forms, meter: _WorkMeter):
-    """(rows, orbits, d) for the forms M / d of a functional: the integer
-    rows of M, the edge-action orbits that lie wholly among the rows, and d.
+def _invariant_forms(graph: TrivalentGraph, rows, meter: _WorkMeter):
+    """The edge-action orbits that lie wholly among the integer rows of a
+    functional's forms.
 
     The minimum is invariant under the action exactly when no row whose
     orbit leaves the set is ever the strict minimum, i.e. each such row's
@@ -609,9 +610,6 @@ def _invariant_forms(graph: TrivalentGraph, forms, meter: _WorkMeter):
     if every other row is inessential the minimum is that over whole
     orbits.  Otherwise SymmetryViolationError is raised.  A closed set
     builds no cells."""
-    rows, den = integer_forms(forms)
-    if any(len(row) != graph.num_edges for row in rows):
-        raise ValueError("forms must have one coefficient per edge")
     present = set(rows)
     orbits = [orbit for orbit in _form_orbits(graph, rows) if present.issuperset(orbit)]
     kept = {form for orbit in orbits for form in orbit}
@@ -619,7 +617,7 @@ def _invariant_forms(graph: TrivalentGraph, forms, meter: _WorkMeter):
            and _cell_rays(_cuts(row, rows), graph.num_edges, meter) is not None
            for row in dict.fromkeys(rows)):
         raise SymmetryViolationError("functional is not invariant under the edge action")
-    return rows, orbits, den
+    return orbits
 
 
 def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
@@ -634,9 +632,10 @@ def integrate_exact(graph: TrivalentGraph, f) -> Fraction:
     Raises ExactWorkLimitError when the check and the cells need more than
     EXACT_WORK_LIMIT rays and simplices.
     """
-    forms = f.forms_for(graph) if isinstance(f, Functional) else f
+    rows, den = (_graph_forms(f.forms_for, graph) if isinstance(f, Functional)
+                 else integer_forms(f, graph.num_edges))
     meter = _WorkMeter(graph)
-    _, orbits, den = _invariant_forms(graph, forms, meter)
+    orbits = _invariant_forms(graph, rows, meter)
     kept = [form for orbit in orbits for form in orbit]
     total = Fraction(0)
     for orbit in orbits:

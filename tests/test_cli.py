@@ -275,6 +275,18 @@ def test_lattice_resolution_below_one_exits_1(n):
     assert f"N must be at least 1, got {n}" in err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["pants", "ortho", "--boundaries", "1,,1,10"], "1,,1,10"),
+    (["ps", "converge", "--rank", "2", "--genus", "2", "--Lmax", "10",
+      "--s-list", "1.5,,1.02"], "1.5,,1.02"),
+], ids=["boundaries", "s-list"])
+def test_empty_list_entry_exits_1(argv, text):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert f"empty entry in {text!r}" in err
+
+
 def test_ps_converge_empty_s_list_exits_1():
     code, out, err = run_cli(["ps", "converge", "--rank", "2", "--genus", "2",
                               "--Lmax", "10", "--s-list", ""])

@@ -186,7 +186,7 @@ def test_expectation_past_int64_uses_python_ints(monkeypatch):
 def _orbit_sum(graph, n_slices, f):
     """The normalized lattice expectation as the orbit-weighted sum."""
     points, mults = M._lattice_orbits(graph, n_slices)
-    rows, den = FN.integer_forms(f.forms_for(graph))
+    rows, den = FN.integer_forms(f.forms_for(graph), graph.num_edges)
     mat = FN.integer_matrix(rows, n_slices)
     values = FN.integer_minimum(mat, points)
     total = sum(m * v for m, v in zip(mults.tolist(), values.tolist()))
@@ -223,11 +223,31 @@ def test_closed_form_sets_run_no_check(monkeypatch):
     assert [M.lattice_sigma(g, 11).expectation(FN.SYSTOLE) for g in _types()] == want
 
 
-def test_wrong_length_forms_raise():
-    short = FN.Functional(name="short", scalar=None,
-                          forms_for=lambda graph: ((F(1), F(1)),))
-    with pytest.raises(ValueError, match="forms must have one coefficient per edge"):
-        M.lattice_sigma(G.theta_graph(), 9).expectation(short)
+def _ensemble(mode):
+    return A.synthesize_ensemble(A.CountingModel(genus=2, rank=2), 10.0, mode, seed=0, cap=50)
+
+
+# every path that scores a Functional on the rank-2 types, whose 3 edges
+# the forms below miss or overshoot
+_SCORING_PATHS = {
+    "lattice-sum": lambda f: M.lattice_sigma(G.theta_graph(), 9).expectation(f),
+    "exact": lambda f: M.integrate_exact(G.dumbbell(), f),
+    "mc": lambda f: M.integrate_mc(M.build_limit_measure(2), f, 100, 0),
+    "exact-marker": lambda f: _ensemble("exact-marker").values(f),
+    "lattice-marker": lambda f: _ensemble("lattice-marker").values(f),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SCORING_PATHS))
+@pytest.mark.parametrize("forms,message", [
+    (((F(1), F(1)),), "forms must have one coefficient per edge"),
+    (((1, 1, 1), (1, 1, 1, 1)), "forms must have one coefficient per edge"),
+    ((), "need at least one linear form"),
+], ids=["short", "long", "empty"])
+def test_wrong_length_forms_raise(path, forms, message):
+    f = FN.Functional(name="malformed", scalar=None, forms_for=lambda graph: forms)
+    with pytest.raises(ValueError, match=message):
+        _SCORING_PATHS[path](f)
 
 
 def test_non_invariant_forms_raise():
@@ -297,20 +317,27 @@ def test_resolution_below_one_is_refused(n):
 
 
 def test_integer_forms_clear_denominators():
-    rows, d = FN.integer_forms(((F(1, 2), F(0), F(3)), (F(2, 3), F(1), F(1, 6))))
+    rows, d = FN.integer_forms(((F(1, 2), F(0), F(3)), (F(2, 3), F(1), F(1, 6))), 3)
     assert d == 6
     assert rows == ((3, 0, 18), (4, 6, 1))
     with pytest.raises(ValueError):
-        FN.integer_forms(())
+        FN.integer_forms((), 3)
 
 
-def test_min_form_ratio_checks_float64_bound():
-    counts = np.array([[1, 2, 3]], dtype=np.int64)
-    resolution = np.array([6], dtype=np.int64)
-    got = A._min_form_ratio(((F(1), F(1, 3), F(0)), (F(0), F(0), F(1))), counts, resolution)
+def test_lattice_marker_values_check_float64_bound():
+    def values(forms):
+        ensemble = A.SyntheticEnsemble(
+            lengths=np.array([6.0]), blocks=np.array([0]),
+            rows=np.array([[1, 2, 3]], dtype=np.int64),
+            resolution=np.array([6], dtype=np.int64),
+            graphs=(G.theta_graph(),), cap_reached=False)
+        return ensemble.values(FN.Functional(name="forms", scalar=None,
+                                             forms_for=lambda graph: forms))
+
+    got = values(((F(1), F(1, 3), F(0)), (F(0), F(0), F(1))))
     assert got.tolist() == [float(F(5, 3) / 6)]
     with pytest.raises(OverflowError):
-        A._min_form_ratio(((F(2 ** 51), F(1), F(1)),), counts, resolution)
+        values(((F(2 ** 51), F(1), F(1)),))
 
 
 def test_lattice_convergence_script():

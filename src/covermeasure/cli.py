@@ -19,21 +19,21 @@ from . import asymptotics, functionals, graphs, invariants, measure
 
 FORMAT_VERSION = 1
 
-_KNOWN_NAMES = {}
+_ALIAS_OF = {}  # canonical id -> alias, filled from graphs._ALIASES
 
 
-def _graph_name(graph) -> str | None:
-    if not _KNOWN_NAMES:
-        for name in ("dumbbell", "theta", "k4"):
-            _KNOWN_NAMES[graphs.resolve_graph(name).canonical_id()] = name
-    return _KNOWN_NAMES.get(graph.canonical_id())
+def _name_field(graph) -> dict:
+    """``{"name": alias}`` for a graph with an alias, else ``{}``."""
+    if not _ALIAS_OF:
+        _ALIAS_OF.update((graphs.resolve_graph(name).canonical_id(), name)
+                         for name in graphs._ALIASES)
+    name = _ALIAS_OF.get(graph.canonical_id())
+    return {"name": name} if name else {}
 
 
-def _rational_fields(value: Fraction, prefix: str = "") -> dict:
-    return {
-        f"{prefix}exact_numerator": value.numerator,
-        f"{prefix}exact_denominator": value.denominator,
-    }
+def _rational(name: str, q: Fraction) -> dict:
+    """The exact rational ``q`` as ``{name}_numerator`` and ``{name}_denominator``."""
+    return {f"{name}_numerator": q.numerator, f"{name}_denominator": q.denominator}
 
 
 def _finite_float(text: str) -> float:
@@ -54,6 +54,13 @@ def _parse_list(text: str, parse) -> list:
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"empty entry in {text!r}")
     return [parse(tok) for tok in tokens]
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -80,10 +87,8 @@ def _cmd_graphs_enumerate(args):
             "edges": [[u, v] for u, v in g.edges],
             "aut_order": len(graphs.automorphism_group(g)),
             "triv_order": len(graphs.triv_subgroup(g)),
+            **_name_field(g),
         }
-        name = _graph_name(g)
-        if name:
-            rec["name"] = name
         records.append(rec)
         lines.append(graphs.text_record(g))
     return {"rank": args.rank}, records, lines
@@ -97,22 +102,15 @@ def _cmd_measure_weights(args):
         rec = {
             "graph_id": block.graph.canonical_id(),
             "weight": float(weight),
-            **_rational_fields(weight),
+            **_rational("exact", weight),
             "mass": float(block.mass),
-            "mass_numerator": block.mass.numerator,
-            "mass_denominator": block.mass.denominator,
+            **_rational("mass", block.mass),
+            **_name_field(block.graph),
         }
-        name = _graph_name(block.graph)
-        if name:
-            rec["name"] = name
         records.append(rec)
         lines.append(f"{rec.get('name', rec['graph_id'])}: weight {weight} "
                      f"(mass {block.mass})")
-    params = {
-        "rank": args.rank,
-        "normalization_numerator": mixture.normalization.numerator,
-        "normalization_denominator": mixture.normalization.denominator,
-    }
+    params = {"rank": args.rank, **_rational("normalization", mixture.normalization)}
     return params, records, lines
 
 
@@ -128,18 +126,15 @@ def _cmd_measure_lattice(args):
             "denominator": args.N,
             "multiplicity": mult,
             "weight": float(weight),
-            "weight_numerator": weight.numerator,
-            "weight_denominator": weight.denominator,
+            **_rational("weight", weight),
         }
         records.append(rec)
         lines.append(f"{point}/{args.N} x{mult}: weight {weight}")
-    total = Fraction(sigma.total_mass)
     params = {
         "rank": graph.rank,
         "graph_id": graph.canonical_id(),
         "N": args.N,
-        "total_mass_numerator": total.numerator,
-        "total_mass_denominator": total.denominator,
+        **_rational("total_mass", Fraction(sigma.total_mass)),
     }
     return params, records, lines
 
@@ -151,7 +146,7 @@ def _cmd_expect(args):
               "method": args.method}
     if args.method == "exact":
         value = measure.expectation(mixture, f)
-        rec = {"estimate": float(value), **_rational_fields(value)}
+        rec = {"estimate": float(value), **_rational("exact", value)}
         line = f"E[{args.functional}] = {value} = {float(value):.10g}"
     else:
         params["samples"] = args.samples
@@ -164,16 +159,13 @@ def _cmd_expect(args):
 
 def _cmd_sample(args):
     mixture = measure.build_limit_measure(args.rank)
-    labels = [(block.graph.canonical_id(), _graph_name(block.graph))
+    labels = [(block.graph.canonical_id(), _name_field(block.graph))
               for block in mixture.blocks]
     records = []
     for idx, rows in measure.sample_chunks(mixture, args.count, args.seed):
         for b, lengths in zip(idx.tolist(), rows.tolist()):
-            graph_id, name = labels[b]
-            rec = {"graph_id": graph_id, "lengths": lengths}
-            if name:
-                rec["name"] = name
-            records.append(rec)
+            graph_id, name_field = labels[b]
+            records.append({"graph_id": graph_id, "lengths": lengths, **name_field})
     # formatted only if the text renderer consumes them
     lines = (f"{rec.get('name', rec['graph_id'])}: "
              + ",".join(f"{x:.8f}" for x in rec["lengths"]) for rec in records)
@@ -182,7 +174,7 @@ def _cmd_sample(args):
 
 def _cmd_invariant(args):
     graph = graphs.resolve_graph(args.graph)
-    lengths = _parse_list(args.lengths, Fraction)
+    lengths = _parse_list(args.lengths, _fraction)
     if len(lengths) != graph.num_edges:
         raise ValueError(
             f"graph has {graph.num_edges} edges but {len(lengths)} lengths given"
@@ -195,9 +187,7 @@ def _cmd_invariant(args):
         value = min(lengths)
     else:
         value = Fraction(invariants.bridge_indicator(graph))
-    rec = {"value": float(value)}
-    if isinstance(value, (Fraction, int)):
-        rec.update(_rational_fields(Fraction(value)))
+    rec = {"value": float(value), **_rational("exact", value)}
     params = {"functional": args.functional, "graph_id": graph.canonical_id(),
               "lengths": [str(x) for x in lengths]}
     return params, [rec], [f"{args.functional} = {value}"]
@@ -288,7 +278,7 @@ def _cmd_ps_converge(args):
     else:
         target = float(exact)
         target_fields = {"target_method": "exact",
-                         **_rational_fields(exact, prefix="target_")}
+                         **_rational("target_exact", exact)}
     records = []
     lines = []
     for s in s_values:
@@ -441,8 +431,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     args.warn = lambda message: print(f"covermeasure: warning: {message}", file=stderr)
     try:
         params, records, lines = args.handler(args)
-        if getattr(args, "seed", None) is not None and "seed" not in params:
-            params["seed"] = args.seed
+        params.setdefault("seed", args.seed)
         if args.format == "json":
             envelope = {
                 "command": args.name,

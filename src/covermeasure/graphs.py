@@ -70,8 +70,6 @@ class TrivalentGraph:
             deg[v] += 1
         if any(d != 3 for d in deg):
             raise InvalidGraphError("every vertex must have degree exactly 3")
-        if len(edges) % 3 != 0 or self.num_edges != 3 * self.rank - 3:
-            raise InvalidGraphError("edge count incompatible with a trivalent graph")
         if not _is_connected(edges, n):
             raise InvalidGraphError("graph must be connected")
 

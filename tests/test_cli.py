@@ -152,6 +152,124 @@ def test_sample_stdout_pinned_across_chunks(fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout in json, csv and text: every key, its
+# position (the csv column order) and every digit
+STDOUT_SHA256 = {
+    "graphs enumerate --rank 2": (
+        "27714a2bfaa7eececfeb93e2c789f5022bfb067ab7a09585b9280ec6fd96fa1b",
+        "5570bffaa18dd6ed3ed9734efd6ccc2cdabe25aa7f2f751a33274c6ddaf74038",
+        "cc6c0d4f12eb25ff3513f2ca8d762d39929306992f11b8e0670d8959c95155a7",
+    ),
+    "graphs enumerate --rank 3": (
+        "16783725c28bc165664659ea3b7a1f8c65a49c5af264e72402914c6de605aee2",
+        "fc1eed2fa02f02836e25a42b110b077fa07c91397c1c9a6853562311d4239271",
+        "e08039541619760ea8166d6ad03b8c277e26bb70b27af80604bd5e4a35efa8b9",
+    ),
+    "measure weights --rank 2": (
+        "a1e06eec8385b2463e03b906ddc141e63cd0c49fb3089a43f390c836457b57e5",
+        "9346bb506f1e6a22bf8342b8902553153db419b71e4c6165428a9abbb01367cf",
+        "4405c790dee225c9d86d5d73ecb4c7fcca3d9dcfe22661d38202f590efabeda3",
+    ),
+    "measure lattice --graph theta --N 5": (
+        "3d3ed3d1f0d19bf635cf6d24984c07d244c6cf7d0154e551a1fcf60b10114df3",
+        "caa719318beb13998671a4cec683de33833f0ed89da1086b5eebf5d8b4f17265",
+        "efc0d2ffc0ed1e3a6893cb1270e8ec0416f63e0ffdd745192c2e2b49e47a6651",
+    ),
+    "expect --rank 2 --functional systole --method exact": (
+        "00c31f2d0e6972107e3115180b82b171b98805a8e311aba15e59bdfe260123e1",
+        "917341ebea65894a3f72723d752f18e1e8510ff90080069c9feb91a0c6459fca",
+        "2bef8ca1aabc5bcdbab555d461e555281cee3240b02f1d0f5d59a430f1297122",
+    ),
+    "expect --rank 2 --functional bridge --method mc --samples 2000 --seed 1": (
+        "c32944c02af6460a2ae7ce0e7a9fa613c794106344845030099a9e2cb7df6c0e",
+        "1898d000ede4b37e487874750384ab85af6000c9d705cbbe797b64187e95b854",
+        "d328f41581ac55983c67680f05d306d35a76c4c92323e433f678539edf5ca138",
+    ),
+    "sample --rank 2 --count 3 --seed 4": (
+        "7e711383b95343818032edcedce66f71d8558518775a0c1b9d87390e89b8d9ef",
+        "fb5f7d42441069da0dbbf43013de68b2881eec12183fb60557ebdf3f6aff4e44",
+        "99bd69aa4537b4622ae19b57e23c2fd3a68044d25d44045b8d582ff40fdf1c8a",
+    ),
+    "invariant systole --graph dumbbell --lengths 1/2,3/10,1/5": (
+        "b0ea988017da249b10d9bcb37985895d4a01cafe7391dc9eb12d6d5a4ff86395",
+        "a38e7f7a585d384607d0de997760253f41bda324e3a52de22c91eb1178351e8f",
+        "f711cfc299c6b69a45659b3456dc360d17997a771dc14191122e3e0d61b1924f",
+    ),
+    "invariant minedge --graph theta --lengths 0.2,0.3,0.5": (
+        "b4a255526c6f00a3d50b4a80b546dfb4296443bc34bb19312ba748e582726f6a",
+        "a38e7f7a585d384607d0de997760253f41bda324e3a52de22c91eb1178351e8f",
+        "991a8760401c7808591cd5f9a4bcdb87c84fa28e76d459ef74620459bb4f5395",
+    ),
+    "pants ortho --boundaries 1,1,10": (
+        "77ce6f3bb76ccdd5d035e2f4b14161a941f2cdc026bba5f869690b5984d04d7f",
+        "bcc00c0c61a87c3605ca29d7da6dbaee907ab1b27e2a19ad79639f922d6b01fb",
+        "ee21c9ed15561d07529062a04d121e783f2c9330de529922c9ecbf9e3a5c2bd8",
+    ),
+    "pants ortho --boundaries 1,1,10 --oracle": (
+        "9cad69d2981c8f8128be6c0bff0330ad855221c139693300c31cb5d6902c7f7d",
+        "eaad9426a72755bfa2905befe234f0941d58b780299459f66a7750a38caf805d",
+        "ee21c9ed15561d07529062a04d121e783f2c9330de529922c9ecbf9e3a5c2bd8",
+    ),
+    "count subgroups --genus 2 --rank 2 --L 12": (
+        "4dec160b7e731f546655f7202cefcf6a1b567c48a11fd80a5bdd59c837f8bc24",
+        "79d3802ca7aae74aed0e142817c2216d87ecffa4d93a703cc0477e8cae98ae5f",
+        "5e99f6755e4d85ee3e903989577d4908c12574fa4652628fd6a3479953328a49",
+    ),
+    "count subgroups --genus 2 --rank 2 --L 12 --precision high": (
+        "6a32b3b9259ffde234395787776ed23c3fef36dcb55c273fde19bfbb35c8d8b2",
+        "cd7f094c9151432e151f921c5f885b752f0b55c2a5ce37bf28eea1e6ef38273d",
+        "5e99f6755e4d85ee3e903989577d4908c12574fa4652628fd6a3479953328a49",
+    ),
+    "count crit --graph dumbbell --genus 2 --L 12": (
+        "ff0d2844794f0226c3ad7c944ad723d2788a48a583a22b7295e036dc9562085a",
+        "def8ced2b5040d5c99b3ce04dbe73fcefcbec96102de3026b981d828cb896802",
+        "f7e869d5000a0a34b1eb36cde72e903fe5b4b28d97f8b7e36ebd9bbdf33944d5",
+    ),
+    "ps model --genus 2 --rank 2 --s 1.2": (
+        "86212aff6c058161c5f3afa320e7fa41646322bb0895153dc1e4eafc29832997",
+        "a5b4c22971b1794b919e1776df57db930218226048d240c91bc88f8766b27c53",
+        "7b3d4b442d3faeceb68ce4f72da580bf0acb2a7a4aadc3a05f13721e0b31213d",
+    ),
+    "ps converge --rank 2 --genus 2 --Lmax 10 --seed 0 --s-list 1.5,1.02 --cap 400": (
+        "cf68c39f62d9140ed3e5b4abbe64b5fa39ddcf733df1c2912289a9ebc30f44e8",
+        "9024648e465c2e98506fd536e6bb36a456d1747c9d34433f200514f61ad5eaf5",
+        "b232a9b6f1960eb98a89f7856ca9e08f36266582fdaa88d4bb62b45e6e72fe6b",
+    ),
+    "ps converge --rank 2 --genus 2 --Lmax 10 --seed 0 --s-list 1.5,1.02 --cap 400 --mode exact-marker": (
+        "cb64d8b1daf8652f07a90cd72a29ed01d567e01f7bfa0582b073c9c1d70beb78",
+        "6b955ceb018544b7bd8fe7c76a22292bc911167c5c99463b743fcc81366ed01b",
+        "94439172396a55e02bf1351416427fc2934df7887d626c83994e29d8ab4e5812",
+    ),
+    "measure lattice --graph dumbbell --N 2": (
+        "85aefbb2810f1770ea5a6900de3b08f225e894407e7f8aaf1913f712a6cc82d7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "ps sum --lengths-file lengths.txt --s 1.5": (
+        "0fbb51c43c4aac5d9d9c4eb6a248f57d29853dc93536df2bb96d0468ffa2c0a5",
+        "a7e8a512bfcab56b0df4cbf131f34c270d8d60cf8612497c4de729da35646398",
+        "480f74e91af4c06e7d2372336bf4d52570e501c8bd67fc942a22343a3ec8c808",
+    ),
+}
+PINNED_COMMANDS = SMOKE_COMMANDS + [
+    # zero mass below N = E: no records, so csv and text print nothing
+    ["measure", "lattice", "--graph", "dumbbell", "--N", "2"],
+    # params echo the path, so the file is read from the working directory
+    ["ps", "sum", "--lengths-file", "lengths.txt", "--s", "1.5"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=lambda a: " ".join(a))
+def test_stdout_pinned(argv, fmt, tmp_path, monkeypatch):
+    (tmp_path / "lengths.txt").write_text("0.5\n1.25\n2.0\n3.5\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(argv + ["--format", fmt])
+    assert code == 0
+    digest = STDOUT_SHA256[" ".join(argv)][("json", "csv", "text").index(fmt)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sample_count_zero_prints_no_records():
     code, out, _ = run_cli(["sample", "--rank", "3", "--count", "0"])
     assert code == 0
@@ -285,6 +403,14 @@ def test_empty_list_entry_exits_1(argv, text):
     assert code == 1
     assert out == ""
     assert f"empty entry in {text!r}" in err
+
+
+def test_zero_denominator_length_names_entry():
+    code, out, err = run_cli(["invariant", "systole", "--graph", "dumbbell",
+                              "--lengths", "1/0,1,1"])
+    assert code == 1
+    assert out == ""
+    assert err == "covermeasure: error: zero denominator in '1/0'\n"
 
 
 def test_ps_converge_empty_s_list_exits_1():

@@ -592,3 +592,15 @@ def test_invalid_graphs_rejected():
     with pytest.raises(G.InvalidGraphError):
         # two disjoint theta graphs: right degrees, not connected
         G.TrivalentGraph(((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)))
+
+
+# an edge count that 3 does not divide never reaches a check of its own:
+# some endpoint is past n = 2E // 3 or some degree is not 3
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (0, 1)), "out of range"),
+    (((0, 0), (0, 1), (1, 1), (0, 1)), "degree"),
+    (((0, 0), (0, 1), (1, 2), (1, 2), (2, 2)), "degree"),
+], ids=["E=2", "E=4", "E=5"])
+def test_edge_count_not_divisible_by_three_rejected(edges, message):
+    with pytest.raises(G.InvalidGraphError, match=message):
+        G.TrivalentGraph(edges)

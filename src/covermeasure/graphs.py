@@ -9,6 +9,7 @@ darts 2i and 2i+1 belonging to edge i.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,10 @@ class TrivalentGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = tuple(tuple(e) for e in self.edges)
+        try:
+            edges = tuple(tuple(map(operator.index, e)) for e in self.edges)
+        except TypeError:
+            raise InvalidGraphError("vertex labels must be integers") from None
         object.__setattr__(self, "edges", edges)
         if not edges:
             raise InvalidGraphError("empty edge list")
@@ -197,12 +201,14 @@ def _edges_from_code(code):
     return tuple(sorted(edges))
 
 
-# _min_code of the graphs already in canonical labelling, written by
-# _code_of and canonical_graph, so a type is searched once per process.
-# The ties of a canonical labelling are its vertex automorphisms.  Other
-# labellings are not stored: the cache holds one entry per class, however
-# many relabelled inputs pass through.
+# _min_code of the graphs in canonical labelling, so a type is searched
+# once per process.  The ties of a canonical labelling are its vertex
+# automorphisms.  Relabelled inputs are not stored.
 _codes: dict[TrivalentGraph, tuple[tuple, list[bytes]]] = {}
+
+# Per enumerated rank k >= 3, invariant key -> canonical class: exact once
+# the mass certificate proves that the keys separate the rank's classes.
+_classes: dict[int, dict[bytes, TrivalentGraph]] = {}
 
 
 def _code_of(graph: TrivalentGraph):
@@ -214,25 +220,34 @@ def _code_of(graph: TrivalentGraph):
     return found
 
 
+def _searched(graph: TrivalentGraph) -> TrivalentGraph:
+    code, ties = _code_of(graph)
+    canonical = TrivalentGraph(_edges_from_code(code))
+    _codes.setdefault(canonical, (code, _canonical_ties(ties)))
+    return canonical
+
+
+def canonical_graph(graph: TrivalentGraph) -> TrivalentGraph:
+    """The canonical representative of the isomorphism class of ``graph``:
+    by invariant key at an enumerated rank k >= 3, else by search."""
+    if graph in _codes:
+        return graph
+    table = _classes.get(graph.rank)
+    if table is None:
+        return _searched(graph)
+    return table[_invariant_keys([graph.edges], graph.num_vertices)[0]]
+
+
 def canonical_form(graph: TrivalentGraph) -> bytes:
     """Canonical byte string: isomorphic graphs map to the same value.
 
     Layout: rank, V, E, then the canonically relabeled edge list as byte
     pairs.  Only graphs with fewer than 256 vertices are supported.
     """
-    edges = _edges_from_code(_code_of(graph)[0])
     out = bytearray((graph.rank, graph.num_vertices, graph.num_edges))
-    for u, v in edges:
+    for u, v in canonical_graph(graph).edges:
         out.extend((u, v))
     return bytes(out)
-
-
-def canonical_graph(graph: TrivalentGraph) -> TrivalentGraph:
-    """The canonical representative of the isomorphism class of ``graph``."""
-    code, ties = _code_of(graph)
-    canonical = TrivalentGraph(_edges_from_code(code))
-    _codes.setdefault(canonical, (code, _canonical_ties(ties)))
-    return canonical
 
 
 def graph_from_canonical_form(blob: bytes) -> TrivalentGraph:
@@ -350,18 +365,18 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
     exactly when every class was found.
     """
     n = 2 * k - 2
+    keyed: dict[bytes, tuple] = {}
     if k == 2:
         reps = [dumbbell().edges, theta_graph().edges]
     else:
         candidates = (child for g in _enumerate(k - 1)
                       for child in _children(g.edges, n - 2))
-        keyed: dict[bytes, tuple] = {}
         for chunk in iter(lambda: list(islice(candidates, _KEY_CHUNK)), []):
             for key, cand in zip(_invariant_keys(chunk, n), chunk):
                 keyed.setdefault(key, cand)
         reps = list(keyed.values())
-    found = [canonical_graph(TrivalentGraph(cand)) for cand in reps]
-    found = tuple(sorted(found, key=lambda g: _code_of(g)[0]))
+    classes = [_searched(TrivalentGraph(cand)) for cand in reps]
+    found = tuple(sorted(classes, key=lambda g: _code_of(g)[0]))
     total = sum(Fraction(1, len(automorphism_group(g))) for g in found)
     want = mass_formula(k)
     if total != want:
@@ -369,6 +384,8 @@ def _enumerate(k: int) -> tuple[TrivalentGraph, ...]:
             f"rank {k}: the {len(found)} classes found have sum of 1/|Aut| "
             f"{total}, short of the mass formula {want} by {want - total}"
         )
+    if keyed:
+        _classes[k] = dict(zip(keyed, classes))
     return found
 
 

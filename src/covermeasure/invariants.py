@@ -52,6 +52,8 @@ def systole_from_lengths(edges: Sequence[tuple[int, int]], lengths: Sequence):
     value len(e) plus the shortest u-v path avoiding e.  Exact when the
     lengths are exact (Fractions survive untouched).
     """
+    if len(edges) == 0:
+        raise InvalidGraphError("empty edge list")
     if len(edges) != len(lengths):
         raise InvalidGraphError("one length per edge required")
     if not all(l > 0 for l in lengths):

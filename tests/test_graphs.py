@@ -534,6 +534,38 @@ def test_canonical_form_is_relabeling_invariant(data):
     assert G.canonical_form(G.TrivalentGraph(relabeled)) == G.canonical_form(g)
 
 
+def searched_form(graph):
+    """The canonical form from ``_min_code`` of ``graph`` itself."""
+    code, _ = G._min_code(graph.edges, graph.num_vertices)
+    out = bytearray((graph.rank, graph.num_vertices, graph.num_edges))
+    for u, v in G._edges_from_code(code):
+        out.extend((u, v))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_key_lookup_matches_search_on_relabellings(k):
+    for i, g in enumerate(G.enumerate_trivalent(k)):
+        for seed in (2 * i, 2 * i + 1):
+            h = relabelled(g, seed)
+            assert G.canonical_form(h) == searched_form(h) == G.canonical_form(g)
+
+
+def test_enumerated_rank_classified_without_search(monkeypatch):
+    found = G.enumerate_trivalent(5)
+    copies = [relabelled(g, seed=i) for i, g in enumerate(found)]
+    dumbbell = G.TrivalentGraph(((0, 1), (0, 0), (1, 1)))
+    want = G.canonical_graph(G.dumbbell())
+    search = G._min_code
+    calls = []
+    monkeypatch.setattr(G, "_min_code",
+                        lambda edges, n: calls.append(n) or search(edges, n))
+    assert [G.canonical_graph(h) for h in copies] == list(found)
+    assert calls == []
+    assert G.canonical_graph(dumbbell) == want
+    assert calls == [2]
+
+
 def test_canonical_forms_distinct_across_classes():
     forms = set()
     for k in (2, 3, 4):
@@ -592,6 +624,19 @@ def test_invalid_graphs_rejected():
     with pytest.raises(G.InvalidGraphError):
         # two disjoint theta graphs: right degrees, not connected
         G.TrivalentGraph(((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)))
+
+
+@pytest.mark.parametrize("edges", [((0.0, 1.0),) * 3, (("a", "b"),) * 3, (None,) * 3])
+def test_non_integer_labels_rejected(edges):
+    with pytest.raises(G.InvalidGraphError, match="integers"):
+        G.TrivalentGraph(edges)
+
+
+def test_numpy_integer_labels_stored_as_ints():
+    k4 = G.complete_graph_k4()
+    g = G.TrivalentGraph(np.array(k4.edges, dtype=np.uint8))
+    assert g == k4 and {type(x) for e in g.edges for x in e} == {int}
+    assert g.canonical_id() == k4.canonical_id()
 
 
 # an edge count that 3 does not divide never reaches a check of its own:

@@ -145,6 +145,11 @@ def test_systole_disconnected_rejected():
                                 (F(1), F(1), F(1), F(1)))
 
 
+def test_systole_empty_edge_list_rejected():
+    with pytest.raises(G.InvalidGraphError, match="empty edge list"):
+        IV.systole_from_lengths([], [])
+
+
 def test_systole_nonpositive_length_rejected():
     with pytest.raises(G.InvalidGraphError):
         IV.systole_from_lengths(G.theta_graph().edges, (F(1), F(1), F(0)))

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import islice, permutations
 from numbers import Integral
 
 # hashlib's own blake2b; importing hashlib would also load OpenSSL, which
@@ -289,7 +289,7 @@ def _children(edges, n):
 
 
 # Candidates keyed per numpy batch: 64 is as fast per candidate as 256 and
-# keeps a batch's arrays under 0.4 MB at rank 5.
+# keeps a batch's walk counts, (n, 64, n, n) int64, at 256 KB at rank 5.
 _KEY_CHUNK = 64
 
 
@@ -302,20 +302,29 @@ def _invariant_keys(chunk, n) -> list[bytes]:
     sorted order is the same for isomorphic graphs.  The sorted rows matter:
     diagonals and row sums alone merge two pairs of classes at rank 7.
     """
-    # one-hot endpoints, (m, E, 2, n); int64, so walk counts (integers
-    # below 3^n) stay exact up to n = 39 and the products never call BLAS
-    ends = np.eye(n, dtype=np.int64)[np.array(chunk)]
-    adj = ends[:, :, 0].transpose(0, 2, 1) @ ends[:, :, 1]
-    adj = adj + adj.transpose(0, 2, 1)  # a loop adds 2 on the diagonal
-    m = len(adj)
-    rows = np.empty((m, n, n, n + 1), dtype=np.int64)  # candidate, vertex, power, features
-    power = adj
-    for j in range(n):
-        rows[:, :, j, 0] = np.diagonal(power, axis1=1, axis2=2)
-        rows[:, :, j, 1:] = np.sort(power, axis=2)
-        power = power @ adj
+    ends = np.array(chunk)  # candidate, edge, endpoint
+    m = len(ends)
+    cells = ends[..., 0] * n + ends[..., 1] + np.arange(0, m * n * n, n * n)[:, None]
+    adj = np.bincount(cells.ravel(), minlength=m * n * n).reshape(m, n, n)
+    # A^1..A^n by doubling; int64 walk counts never call BLAS and stay
+    # exact up to n = 39
+    powers = np.empty((n, m, n, n), dtype=np.int64)  # power, candidate, vertex, column
+    powers[0] = adj + adj.transpose(0, 2, 1)  # a loop adds 2 on the diagonal
+    done = 1
+    while done < n:
+        step = min(done, n - done)
+        np.matmul(powers[:step], powers[done - 1], out=powers[done:done + step])
+        done += step
+    # every row of A sums to 3, so no walk count exceeds 3^n and the
+    # narrowest type holding 3^n is lossless
+    rows = np.empty((m, n, n, n + 1),  # candidate, vertex, power, features
+                    dtype=np.min_scalar_type(3 ** n))
+    rows[..., 0] = np.diagonal(powers, axis1=2, axis2=3).transpose(1, 2, 0)
+    powers.sort(axis=3)
+    rows[..., 1:] = powers.transpose(1, 2, 0, 3)
     # one opaque record per vertex, so a sort orders whole feature rows
-    rows = rows.reshape(m, n, -1).view(np.dtype((np.void, n * (n + 1) * 8)))[..., 0]
+    rows = rows.reshape(m, n, -1).view(
+        np.dtype((np.void, n * (n + 1) * rows.itemsize)))[..., 0]
     rows.sort(axis=1)
     return [blake2b(r.tobytes()).digest() for r in rows]
 
@@ -397,8 +406,8 @@ def enumerate_trivalent(k: int) -> tuple[TrivalentGraph, ...]:
     computes the list.  The rank is capped by the COVERMEASURE_MAX_RANK
     environment variable (default 6); the cap holds for k, not for the
     lower ranks that k is grown from.  On 2 vCPUs rank 7 (2,592 types)
-    takes 25 to 27 s: keys for its 52,380 candidates 5 to 6 s, canonical
-    search 16 to 19 s, the rest 3 s.
+    takes 13 to 16 s: keys for its 52,380 candidates about 2.5 s, canonical
+    search 11 to 12 s, the rest 1 s.
     """
     if not _is_integer(k) or k < 2:
         raise InvalidRankError(f"rank must be an integer >= 2, got {k!r}")
@@ -425,34 +434,41 @@ def automorphism_group(graph: TrivalentGraph) -> tuple[tuple[int, ...], ...]:
     darts at one vertex; reversing a loop is a nontrivial automorphism.
 
     The vertex automorphisms sigma[x] = lam0^-1[lam[x]] come from the ties
-    lam of the canonical search.  Each preserves edge multiplicities, so it
-    lifts to the darts by every matching of the bundle of parallel edges at
-    (u, v) onto the bundle at (sigma u, sigma v); a loop (at most one per
-    vertex) maps in either orientation, a non-loop edge in the one sigma
-    gives it.
+    lam of the canonical search.  The automorphisms fixing every vertex
+    form a normal subgroup K: each bundle of parallel edges is permuted
+    within itself, and each loop (at most one per vertex) maps either way.
+    Each sigma preserves edge multiplicities, so it has a base lift that
+    matches the bundle at (u, v) in order onto the bundle at (sigma u,
+    sigma v), a non-loop edge in the orientation sigma gives it and a loop
+    unreversed; its lifts are the compositions base o k, k in K.
     """
     edges = graph.edges
     bundles: dict[tuple[int, int], list[int]] = {}
     for i, e in enumerate(edges):
         bundles.setdefault(e, []).append(i)
+
+    def match(perm, src, images, flip):
+        for e, f in zip(src, images):
+            perm[2 * e], perm[2 * e + 1] = 2 * f + flip, 2 * f + 1 - flip
+        return perm
+
+    kernel = [list(range(2 * len(edges)))]
+    for (u, v), src in bundles.items():
+        kernel = [match(k.copy(), src, images, flip) for k in kernel
+                  for images in permutations(src)
+                  for flip in ((0, 1) if u == v else (0,))]
+    # p(base) is base o k as a tuple of exact size
+    precompose = [operator.itemgetter(*k) for k in kernel]
     _, ties = _code_of(graph)
     unlabel = sorted(range(graph.num_vertices), key=ties[0].__getitem__)
     auts = []
     for lam in ties:
         sigma = [unlabel[label] for label in lam]
-        options = []
+        base = [0] * (2 * len(edges))
         for (u, v), src in bundles.items():
             su, sv = sigma[u], sigma[v]
-            flips = (0, 1) if u == v else (int(su > sv),)
-            options.append([(src, images, flip) for images in
-                            permutations(bundles[min(su, sv), max(su, sv)])
-                            for flip in flips])
-        for lift in product(*options):
-            perm = [0] * (2 * len(edges))
-            for src, images, flip in lift:
-                for e, f in zip(src, images):
-                    perm[2 * e], perm[2 * e + 1] = 2 * f + flip, 2 * f + 1 - flip
-            auts.append(tuple(perm))
+            match(base, src, bundles[min(su, sv), max(su, sv)], int(su > sv))
+        auts.extend(p(base) for p in precompose)
     return tuple(sorted(auts))
 
 

@@ -324,6 +324,23 @@ def test_children_of_each_class(k, total):
     assert count == total
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_invariant_keys_independent_of_batch(k):
+    # enumeration keys candidates in chunks, a lookup keys one graph alone
+    n = 2 * k - 2
+    candidates = [c for g in G.enumerate_trivalent(k - 1)
+                  for c in G._children(g.edges, n - 2)]
+    for start in range(0, len(candidates), G._KEY_CHUNK):
+        chunk = candidates[start:start + G._KEY_CHUNK]
+        assert G._invariant_keys(chunk, n) == [
+            G._invariant_keys([c], n)[0] for c in chunk]
+    rng = random.Random(k)
+    for i, g in enumerate(G.enumerate_trivalent(k)):
+        edges = list(relabelled(g, seed=i).edges)
+        rng.shuffle(edges)
+        assert G._classes[k][G._invariant_keys([edges], n)[0]] == g
+
+
 def test_rank_cap_applies_to_requested_rank_only(monkeypatch):
     monkeypatch.setenv("COVERMEASURE_MAX_RANK", "4")
     assert len(G.enumerate_trivalent(4)) == 17
@@ -331,6 +348,27 @@ def test_rank_cap_applies_to_requested_rank_only(monkeypatch):
         G.enumerate_trivalent(5)
 
 # --- automorphism groups -----------------------------------------------------
+
+# sha256 of repr(f(g)) over every class g of ranks 2 to 6 in canonical order,
+# from the lifts of each vertex automorphism by every bundle matching
+GROUPS_SHA256 = {
+    "automorphism_group":
+        "1732601afa6e612282094711c6c5d27f09357857155f9fbf869d706556dcbf99",
+    "triv_subgroup":
+        "c3085c40fc150cf4244950ac988d33efee554313696db5ade21a78c66bc34e9b",
+    "edge_action":
+        "3b7cf367f9a950bc099aad4a4ee8603549254baacd4f3953a9c6779c98edfda3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS_SHA256))
+def test_groups_pinned(name):
+    h = hashlib.sha256()
+    for k in range(2, 7):
+        for g in G.enumerate_trivalent(k):
+            h.update(repr(getattr(G, name)(g)).encode())
+    assert h.hexdigest() == GROUPS_SHA256[name]
+
 
 def test_dumbbell_symmetries():
     db = G.dumbbell()

@@ -347,14 +347,42 @@ def _slices(arr: np.ndarray):
 
 def _invert_count_function(model: CountingModel, log_targets: np.ndarray,
                            t_max: float) -> np.ndarray:
-    lo = np.full_like(log_targets, 1e-12)
-    hi = np.full_like(log_targets, t_max)
+    """Per target, the t in [1e-12, t_max] with log N(t) = target: 0.5 * (lo + hi)
+    for the adjacent floats lo < hi where the test log c + (3k-4) log t + t
+    < target turns from true to false.  The test is monotone in t, so
+    bisection reaches that pair from any bracket that the test passes at
+    both ends.  Newton finds the root, a bracket as wide as the test's
+    rounding is checked by the test, and a few halvings follow, so the bits
+    do not depend on t_max.  A target whose bracket fails the check is
+    bisected from [1e-12, t_max] in at most 80 halvings, which stop short
+    of the pair for roots below about t_max * 2^-28."""
     exponent = 3 * model.rank - 4
     logc = math.log(model.c)
+
+    def below(t):
+        return logc + exponent * np.log(t) + t < log_targets
+
+    # g(t) = log N(t) - target is concave, so Newton steps from the root of
+    # its bound by log t <= t - 1 stay left of its root; once every step is
+    # below 2^-26 of t, the last one leaves an error below 2^-52 of t
+    t = np.maximum((log_targets - logc + exponent) / (exponent + 1), 1e-12)
+    for _ in range(64):
+        step = (logc + exponent * np.log(t) + t - log_targets) * t / (exponent + t)
+        new = np.maximum(t - step, 1e-12)
+        done = np.all(np.abs(new - t) <= new * 2.0 ** -26)
+        t = new
+        if done:
+            break
+    # the test rounds to a few units of |log c| + |target|, and one unit
+    # moves its root by t / (exponent + t)
+    half = np.maximum(t, (abs(logc) + np.abs(log_targets)) * t / (exponent + t)) * 2.0 ** -50
+    lo, hi = t - half, t + half
+    ok = below(lo) & ~below(hi) & (hi <= t_max)
+    lo = np.where(ok, lo, 1e-12)
+    hi = np.where(ok, hi, t_max)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        val = logc + exponent * np.log(mid) + mid
-        too_low = val < log_targets
+        too_low = below(mid)
         new_lo = np.where(too_low, mid, lo)
         new_hi = np.where(too_low, hi, mid)
         # unchanged brackets give the same mid again: a fixed point
@@ -384,6 +412,8 @@ def _draw_compositions(rng: np.random.Generator, resolution: np.ndarray,
             at = slice(a, a + _SLICE)
             taken = (out[at, :j] == v[at, None]).any(axis=1)
             out[at, j] = np.where(taken, high[at] - 1, v[at])
+        # so the next step's arrays do not join these at the peak of synthesis
+        del high, v
     # the sorted cuts, shifted by one, are the inner part boundaries; the
     # parts are their differences, taken in place from the right
     out[:, :k].sort(axis=1)

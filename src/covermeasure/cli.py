@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -421,6 +422,10 @@ def _render_csv(records) -> str:
 
 
 def run(argv, stdout=None, stderr=None) -> int:
+    # no command uses OpenBLAS's thread pool, which takes about 0.06 s to start;
+    # numpy reads the variable as it loads, and a caller's own setting stands
+    if "numpy.linalg" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()

@@ -301,6 +301,7 @@ def test_lattice_compositions_uniform_over_cut_sets(parts):
 
 
 def _invert_80_steps(model, log_targets, t_max):
+    """80 halvings of [1e-12, t_max]: their midpoints and final brackets."""
     lo = np.full_like(log_targets, 1e-12)
     hi = np.full_like(log_targets, t_max)
     for _ in range(80):
@@ -309,18 +310,42 @@ def _invert_80_steps(model, log_targets, t_max):
                    < log_targets)
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), lo, hi
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
+# a Newton iterate right of the root can step to a negative t, whose log warns
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
 def test_count_inversion_stops_at_its_fixed_point(rank):
     model = A.CountingModel(genus=2, rank=rank)
-    l_max = 40.0
+    exponent, logc = 3 * rank - 4, math.log(model.c)
     rng = np.random.default_rng(rank)
-    arrivals = np.sort(rng.random(10_000)) * math.exp(model.count_function_log(l_max))
-    targets = np.log(arrivals)
-    assert np.array_equal(A._invert_count_function(model, targets, l_max),
-                          _invert_80_steps(model, targets, l_max))
+    for l_max in (9.0, 40.0, 100.0):
+        log_top = model.count_function_log(l_max)
+        # sorted arrivals up to N(Lmax), a fifth of them log-uniform with
+        # roots down to 1e-11, far below where 80 halvings stop short
+        arrivals = np.sort(np.concatenate([
+            rng.random(80_000) * math.exp(log_top),
+            np.exp(rng.uniform(model.count_function_log(1e-11), log_top, 20_000))]))
+        targets = np.append(np.log(arrivals), log_top)
+        got = A._invert_count_function(model, targets, l_max)
+        want, lo, hi = _invert_80_steps(model, targets, l_max)
+        reached = np.nextafter(lo, np.inf) == hi
+        assert np.array_equal(got[reached], want[reached])
+        # elsewhere the result is the midpoint of the adjacent floats at
+        # which the test turns from true to false
+        short = ~reached
+        assert short.any()
+
+        def below(t):
+            return logc + exponent * np.log(t) + t < targets[short]
+
+        res = got[short]
+        pair_lo = np.where(below(res), res, np.nextafter(res, 0))
+        pair_hi = np.nextafter(pair_lo, np.inf)
+        assert below(pair_lo).all() and not below(pair_hi).any()
+        assert np.array_equal(res, 0.5 * (pair_lo + pair_hi))
+        assert A._invert_count_function(model, np.empty(0), l_max).shape == (0,)
 
 
 def test_count_inversion_by_slices_matches_one_pass():

@@ -1,5 +1,6 @@
 """CLI surface: JSON schema conformance, determinism, exit codes."""
 
+import glob
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import covermeasure
@@ -279,13 +281,16 @@ def test_sample_count_zero_prints_no_records():
             == (0, "", "")
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, env=None):
     """stdout of ``python -c code *args`` in a new interpreter, where numpy is
-    not yet imported, unlike in this one."""
+    not yet imported, unlike in this one.  ``env`` sets variables, and
+    unsets those it maps to None."""
     src = str(Path(covermeasure.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    full = {**os.environ, "PYTHONPATH": path, **(env or {})}
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+                          text=True, check=True,
+                          env={k: v for k, v in full.items() if v is not None}).stdout
 
 
 # the five short commands of the benchmark's cli-ps workload and two more
@@ -324,6 +329,37 @@ def test_commands_without_arrays_never_load_numpy():
 def test_fresh_interpreter_loads_numpy_on_first_use(argv):
     code = "import sys; from covermeasure import cli; sys.exit(cli.run(sys.argv[1:]))"
     assert fresh_python(code, *argv) == run_cli(argv)[1]
+
+
+# numpy's bundled OpenBLAS, whose thread count the child reads after a
+# command that loads numpy
+OPENBLAS_LIBS = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*.so*"))
+BLAS_THREADS_AFTER_SAMPLE = (
+    "import ctypes, io, os, sys\n"
+    "from covermeasure import cli\n"
+    "assert cli.run(['sample', '--rank', '3', '--count', '1'], stdout=io.StringIO()) == 0\n"
+    "threads = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+    "threads.argtypes, threads.restype = [], ctypes.c_int\n"
+    "print(threads(), os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+@pytest.mark.skipif(len(OPENBLAS_LIBS) != 1, reason="numpy bundles no OpenBLAS")
+@pytest.mark.parametrize("caller, threads", [(None, "1"), ("2", "2")])
+def test_cli_starts_openblas_with_one_thread_unless_told(caller, threads):
+    out = fresh_python(BLAS_THREADS_AFTER_SAMPLE, *OPENBLAS_LIBS,
+                       env={"OPENBLAS_NUM_THREADS": caller})
+    assert out == f"{threads} {threads}\n"
+
+
+def test_cli_leaves_the_environment_once_numpy_is_loaded(monkeypatch):
+    # OpenBLAS read its variable when numpy loaded: setting it now would
+    # only change the environment of this process's children
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy.linalg" in sys.modules
+    before = dict(os.environ)
+    assert run_cli(["sample", "--rank", "3", "--count", "1"])[0] == 0
+    assert dict(os.environ) == before
 
 
 def test_text_and_csv_formats():
@@ -419,6 +455,22 @@ def test_ps_converge_empty_s_list_exits_1():
     assert code == 1
     assert out == ""
     assert "need at least one s" in err
+
+
+def test_ps_converge_lengths_do_not_depend_on_lmax():
+    # the cap stops the bench argv near L = 12 whatever Lmax; 80 halvings of
+    # [1e-12, 1e300] once gave lengths of 4e275 and negative estimates
+    def envelope(l_max):
+        code, out, _ = run_cli(["ps", "converge", "--rank", "2", "--genus", "2",
+                                "--Lmax", l_max, "--s-list", "1.5,1.1,1.02"])
+        assert code == 0
+        env = json.loads(out)
+        del env["params"]["Lmax"]
+        return env
+
+    want = envelope("40")
+    for l_max in ("1e9", "1e20", "1e300"):
+        assert envelope(l_max) == want
 
 
 def test_precision_only_on_count_subgroups(capsys):

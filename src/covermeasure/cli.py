@@ -2,9 +2,10 @@
 
 Every command prints a JSON envelope {command, format_version, params,
 records} by default (see output.schema.json); --format csv/text give flat
-rows or readable lines.  Identical argv and seed produce byte-identical
-output.  Exit codes: 0 success, 2 usage error (a non-finite number
-argument too), 1 computation error (overflow and non-finite results too).
+rows or readable lines, each rendered from the command's one list of
+records.  Identical argv and seed produce byte-identical output.  Exit
+codes: 0 success, 2 usage error (a non-finite number argument too), 1
+computation error (overflow and non-finite results too).
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def _name_field(graph) -> dict:
 def _rational(name: str, q: Fraction) -> dict:
     """The exact rational ``q`` as ``{name}_numerator`` and ``{name}_denominator``."""
     return {f"{name}_numerator": q.numerator, f"{name}_denominator": q.denominator}
+
+
+def _unrational(rec: dict, name: str) -> Fraction:
+    """The rational that ``_rational(name, q)`` wrote into ``rec``."""
+    return Fraction(rec[f"{name}_numerator"], rec[f"{name}_denominator"])
 
 
 def _finite_float(text: str) -> float:
@@ -73,71 +79,54 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (params, records, text_lines)
+# handlers: each returns (params, records)
 # ---------------------------------------------------------------------------
 
 def _cmd_graphs_enumerate(args):
-    found = graphs.enumerate_trivalent(args.rank)
-    records = []
-    lines = []
-    for g in found:
-        rec = {
-            "graph_id": g.canonical_id(),
-            "rank": g.rank,
-            "vertices": g.num_vertices,
-            "edges": [[u, v] for u, v in g.edges],
-            "aut_order": len(graphs.automorphism_group(g)),
-            "triv_order": len(graphs.triv_subgroup(g)),
-            **_name_field(g),
-        }
-        records.append(rec)
-        lines.append(graphs.text_record(g))
-    return {"rank": args.rank}, records, lines
+    records = [{
+        "graph_id": g.canonical_id(),
+        "rank": g.rank,
+        "vertices": g.num_vertices,
+        "edges": [[u, v] for u, v in g.edges],
+        "aut_order": len(graphs.automorphism_group(g)),
+        "triv_order": len(graphs.triv_subgroup(g)),
+        **_name_field(g),
+    } for g in graphs.enumerate_trivalent(args.rank)]
+    return {"rank": args.rank}, records
 
 
 def _cmd_measure_weights(args):
     mixture = measure.build_limit_measure(args.rank)
-    records = []
-    lines = []
-    for block, weight in zip(mixture.blocks, mixture.weights):
-        rec = {
-            "graph_id": block.graph.canonical_id(),
-            "weight": float(weight),
-            **_rational("exact", weight),
-            "mass": float(block.mass),
-            **_rational("mass", block.mass),
-            **_name_field(block.graph),
-        }
-        records.append(rec)
-        lines.append(f"{rec.get('name', rec['graph_id'])}: weight {weight} "
-                     f"(mass {block.mass})")
+    records = [{
+        "graph_id": block.graph.canonical_id(),
+        "weight": float(weight),
+        **_rational("exact", weight),
+        "mass": float(block.mass),
+        **_rational("mass", block.mass),
+        **_name_field(block.graph),
+    } for block, weight in zip(mixture.blocks, mixture.weights)]
     params = {"rank": args.rank, **_rational("normalization", mixture.normalization)}
-    return params, records, lines
+    return params, records
 
 
 def _cmd_measure_lattice(args):
     graph = graphs.resolve_graph(args.graph)
     sigma = measure.lattice_sigma(graph, args.N)
-    records = []
-    lines = []
-    for point, mult, weight in zip(map(tuple, sigma.points.tolist()),
-                                   sigma.multiplicities.tolist(), sigma.weights()):
-        rec = {
-            "point_numerators": list(point),
-            "denominator": args.N,
-            "multiplicity": mult,
-            "weight": float(weight),
-            **_rational("weight", weight),
-        }
-        records.append(rec)
-        lines.append(f"{point}/{args.N} x{mult}: weight {weight}")
+    records = [{
+        "point_numerators": point,
+        "denominator": args.N,
+        "multiplicity": mult,
+        "weight": float(weight),
+        **_rational("weight", weight),
+    } for point, mult, weight in zip(sigma.points.tolist(),
+                                     sigma.multiplicities.tolist(), sigma.weights())]
     params = {
         "rank": graph.rank,
         "graph_id": graph.canonical_id(),
         "N": args.N,
         **_rational("total_mass", Fraction(sigma.total_mass)),
     }
-    return params, records, lines
+    return params, records
 
 
 def _cmd_expect(args):
@@ -148,14 +137,11 @@ def _cmd_expect(args):
     if args.method == "exact":
         value = measure.expectation(mixture, f)
         rec = {"estimate": float(value), **_rational("exact", value)}
-        line = f"E[{args.functional}] = {value} = {float(value):.10g}"
     else:
         params["samples"] = args.samples
-        params["seed"] = args.seed
         est, err = measure.integrate_mc(mixture, f, args.samples, args.seed)
         rec = {"estimate": est, "stderr": err}
-        line = f"E[{args.functional}] ~ {est:.8g} +/- {err:.3g}"
-    return params, [rec], [line]
+    return params, [rec]
 
 
 def _cmd_sample(args):
@@ -167,10 +153,7 @@ def _cmd_sample(args):
         for b, lengths in zip(idx.tolist(), rows.tolist()):
             graph_id, name_field = labels[b]
             records.append({"graph_id": graph_id, "lengths": lengths, **name_field})
-    # formatted only if the text renderer consumes them
-    lines = (f"{rec.get('name', rec['graph_id'])}: "
-             + ",".join(f"{x:.8f}" for x in rec["lengths"]) for rec in records)
-    return {"rank": args.rank, "count": args.count, "seed": args.seed}, records, lines
+    return {"rank": args.rank, "count": args.count}, records
 
 
 def _cmd_invariant(args):
@@ -191,7 +174,7 @@ def _cmd_invariant(args):
     rec = {"value": float(value), **_rational("exact", value)}
     params = {"functional": args.functional, "graph_id": graph.canonical_id(),
               "lengths": [str(x) for x in lengths]}
-    return params, [rec], [f"{args.functional} = {value}"]
+    return params, [rec]
 
 
 def _cmd_pants_ortho(args):
@@ -207,7 +190,7 @@ def _cmd_pants_ortho(args):
         value = invariants.separating_orthogeodesic_length(boundary)
         method = "hexagon"
     params = {"boundaries": [l1, l2, l3], "method": method}
-    return params, [{"length": value}], [f"orthogeodesic length = {value:.12g}"]
+    return params, [{"length": value}]
 
 
 def _cmd_count_subgroups(args):
@@ -218,7 +201,7 @@ def _cmd_count_subgroups(args):
     if args.precision == "high":
         rec["c_high_precision"] = str(model.c_high_precision())
     params = {"genus": args.genus, "rank": args.rank, "L": args.L}
-    return params, [rec], [f"|G(L={args.L})| ~ {value:.8g}"]
+    return params, [rec]
 
 
 def _cmd_count_crit(args):
@@ -226,7 +209,7 @@ def _cmd_count_crit(args):
     value = asymptotics.crit_count_asymptotic(graph, args.genus, args.L)
     rec = {"count": value, "euler_characteristic": graph.euler_characteristic}
     params = {"graph_id": graph.canonical_id(), "genus": args.genus, "L": args.L}
-    return params, [rec], [f"|Crit(L={args.L})| ~ {value:.8g}"]
+    return params, [rec]
 
 
 def _cmd_ps_sum(args):
@@ -249,14 +232,14 @@ def _cmd_ps_sum(args):
     rec = {"partial_sum": direct, "stieltjes": via_int,
            "n_lengths": len(lengths)}
     params = {"s": args.s, "L": args.L, "lengths_file": args.lengths_file}
-    return params, [rec], [f"sum e^(-s l) = {direct:.12g}"]
+    return params, [rec]
 
 
 def _cmd_ps_model(args):
     model = asymptotics.CountingModel(genus=args.genus, rank=args.rank)
     value = asymptotics.ps_model_closed_form(model, args.s)
     params = {"genus": args.genus, "rank": args.rank, "s": args.s}
-    return params, [{"value": value}], [f"model series value = {value:.10g}"]
+    return params, [{"value": value}]
 
 
 def _cmd_ps_converge(args):
@@ -281,24 +264,48 @@ def _cmd_ps_converge(args):
         target_fields = {"target_method": "exact",
                          **_rational("target_exact", exact)}
     records = []
-    lines = []
     for s in s_values:
         est = asymptotics.ps_measure_expectation(ensemble, f, s)
-        err = abs(est - target)
-        records.append({"s": s, "estimate": est, "abs_error": err})
-        lines.append(f"s={s}: estimate {est:.6f}, |error| {err:.6f}")
+        records.append({"s": s, "estimate": est, "abs_error": abs(est - target)})
     if ensemble.cap_reached:
         args.warn(f"the ensemble cap {args.cap} stopped the length process at "
                   f"{ensemble.effective_lmax:.6g}, short of Lmax {args.Lmax:g}")
     params = {
         "genus": args.genus, "rank": args.rank, "Lmax": args.Lmax,
-        "seed": args.seed, "mode": args.mode, "cap": args.cap,
+        "mode": args.mode, "cap": args.cap,
         "ensemble_size": len(ensemble),
         "effective_lmax": ensemble.effective_lmax,
         "cap_reached": ensemble.cap_reached,
         **target_fields,
     }
-    return params, records, lines
+    return params, records
+
+
+# command -> the text line of a record r, given the params p
+_TEXT = {
+    "graphs.enumerate": lambda p, r: (
+        f"rank={r['rank']}; vertices={r['vertices']}; edges: "
+        + " ".join(f"{i}:{u}-{v}" for i, (u, v) in enumerate(r["edges"]))
+        + f"; canonical={r['graph_id']}"),
+    "measure.weights": lambda p, r: (f"{r.get('name', r['graph_id'])}: weight "
+                                     f"{_unrational(r, 'exact')} (mass {_unrational(r, 'mass')})"),
+    "measure.lattice": lambda p, r: (f"{tuple(r['point_numerators'])}/{r['denominator']} "
+                                     f"x{r['multiplicity']}: weight {_unrational(r, 'weight')}"),
+    "expect": lambda p, r: (
+        f"E[{p['functional']}] = {_unrational(r, 'exact')} = {r['estimate']:.10g}"
+        if p["method"] == "exact" else
+        f"E[{p['functional']}] ~ {r['estimate']:.8g} +/- {r['stderr']:.3g}"),
+    "sample": lambda p, r: (f"{r.get('name', r['graph_id'])}: "
+                            + ",".join(f"{x:.8f}" for x in r["lengths"])),
+    "invariant": lambda p, r: f"{p['functional']} = {_unrational(r, 'exact')}",
+    "pants.ortho": lambda p, r: f"orthogeodesic length = {r['length']:.12g}",
+    "count.subgroups": lambda p, r: f"|G(L={p['L']})| ~ {r['count']:.8g}",
+    "count.crit": lambda p, r: f"|Crit(L={p['L']})| ~ {r['count']:.8g}",
+    "ps.sum": lambda p, r: f"sum e^(-s l) = {r['partial_sum']:.12g}",
+    "ps.model": lambda p, r: f"model series value = {r['value']:.10g}",
+    "ps.converge": lambda p, r: (f"s={r['s']}: estimate {r['estimate']:.6f}, "
+                                 f"|error| {r['abs_error']:.6f}"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p_graphs.add_subparsers(dest="subcommand", required=True)
     p = gsub.add_parser("enumerate", parents=[common])
     p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(handler=_cmd_graphs_enumerate, name="graphs.enumerate")
+    p.set_defaults(handler=_cmd_graphs_enumerate)
 
     p_measure = sub.add_parser("measure", help="limit measure and lattices")
     msub = p_measure.add_subparsers(dest="subcommand", required=True)
     p = msub.add_parser("weights", parents=[common])
     p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(handler=_cmd_measure_weights, name="measure.weights")
+    p.set_defaults(handler=_cmd_measure_weights)
     p = msub.add_parser("lattice", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(handler=_cmd_measure_lattice, name="measure.lattice")
+    p.set_defaults(handler=_cmd_measure_lattice)
 
     p = sub.add_parser("expect", parents=[common],
                        help="expectation of a functional")
@@ -340,27 +347,27 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(functionals.FUNCTIONALS))
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_expect, name="expect")
+    p.set_defaults(handler=_cmd_expect)
 
     p = sub.add_parser("sample", parents=[common],
                        help="draw metric graphs from the limit measure")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_sample, name="sample")
+    p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("invariant", parents=[common],
                        help="evaluate a functional at one point")
     p.add_argument("functional", choices=sorted(functionals.FUNCTIONALS))
     p.add_argument("--graph", required=True)
     p.add_argument("--lengths", required=True)
-    p.set_defaults(handler=_cmd_invariant, name="invariant")
+    p.set_defaults(handler=_cmd_invariant)
 
     p_pants = sub.add_parser("pants", help="hyperbolic pants geometry")
     psub = p_pants.add_subparsers(dest="subcommand", required=True)
     p = psub.add_parser("ortho", parents=[common])
     p.add_argument("--boundaries", required=True)
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(handler=_cmd_pants_ortho, name="pants.ortho")
+    p.set_defaults(handler=_cmd_pants_ortho)
 
     p_count = sub.add_parser("count", help="asymptotic counting models")
     csub = p_count.add_subparsers(dest="subcommand", required=True)
@@ -369,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--L", type=_finite_float, required=True)
     p.add_argument("--precision", choices=("double", "high"), default="double")
-    p.set_defaults(handler=_cmd_count_subgroups, name="count.subgroups")
+    p.set_defaults(handler=_cmd_count_subgroups)
     p = csub.add_parser("crit", parents=[common])
     p.add_argument("--graph", required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--L", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_count_crit, name="count.crit")
+    p.set_defaults(handler=_cmd_count_crit)
 
     p_ps = sub.add_parser("ps", help="exponent-weighted series")
     pssub = p_ps.add_subparsers(dest="subcommand", required=True)
@@ -382,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths-file", required=True)
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--L", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_ps_sum, name="ps.sum")
+    p.set_defaults(handler=_cmd_ps_sum)
     p = pssub.add_parser("model", parents=[common])
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--s", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_ps_model, name="ps.model")
+    p.set_defaults(handler=_cmd_ps_model)
     p = pssub.add_parser("converge", parents=[common])
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=asymptotics.ENSEMBLE_MODES,
                    default="lattice-marker")
     p.add_argument("--cap", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_ps_converge, name="ps.converge")
+    p.set_defaults(handler=_cmd_ps_converge)
 
     return parser
 
@@ -404,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_csv(records) -> str:
     if not records:
         return ""
-    keys = list(records[0])
-    for rec in records[1:]:
-        for key in rec:
-            if key not in keys:
-                keys.append(key)
+    keys = list(dict.fromkeys(key for rec in records for key in rec))
     lines = [",".join(keys)]
     for rec in records:
         row = []
@@ -435,11 +438,12 @@ def run(argv, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     args.warn = lambda message: print(f"covermeasure: warning: {message}", file=stderr)
     try:
-        params, records, lines = args.handler(args)
+        params, records = args.handler(args)
         params.setdefault("seed", args.seed)
+        command = ".".join(filter(None, (args.command, getattr(args, "subcommand", None))))
         if args.format == "json":
             envelope = {
-                "command": args.name,
+                "command": command,
                 "format_version": FORMAT_VERSION,
                 "params": params,
                 "records": records,
@@ -449,7 +453,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         elif args.format == "csv":
             text = _render_csv(records)
         else:
-            text = "".join(f"{line}\n" for line in lines)
+            text = "".join(f"{_TEXT[command](params, rec)}\n" for rec in records)
     # every library error class is a ValueError; overflow is an ArithmeticError
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"covermeasure: error: {exc}", file=stderr)

@@ -563,9 +563,3 @@ def resolve_graph(identifier: str) -> TrivalentGraph:
         raise InvalidGraphError(f"unknown graph identifier {identifier!r}") from None
     return graph_from_canonical_form(blob)
 
-
-def text_record(graph: TrivalentGraph) -> str:
-    """One-line text format: rank, vertices, edge list, canonical hex id."""
-    parts = " ".join(f"{i}:{u}-{v}" for i, (u, v) in enumerate(graph.edges))
-    return (f"rank={graph.rank}; vertices={graph.num_vertices}; "
-            f"edges: {parts}; canonical={graph.canonical_id()}")

@@ -7,6 +7,7 @@ exhaustive search over vertex bijections with naive dart lifts.
 """
 
 import hashlib
+import io
 import os
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covermeasure import cli
 from covermeasure import graphs as G
 
 
@@ -633,9 +635,11 @@ def test_resolve_graph_roundtrip():
 
 
 def test_text_record_format():
-    line = G.text_record(G.dumbbell())
-    assert line.startswith("rank=2; vertices=2; edges: 0:0-0 1:1-1 2:0-1;")
-    assert "canonical=" in line
+    out = io.StringIO()
+    assert cli.run(["graphs", "enumerate", "--rank", "2", "--format", "text"],
+                   stdout=out) == 0
+    assert ("rank=2; vertices=2; edges: 0:0-0 1:0-1 2:1-1; "
+            "canonical=020203000000010101\n") in out.getvalue().splitlines(keepends=True)
 
 
 # --- cycles -------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import covermeasure
-from covermeasure import asymptotics, cli
+from covermeasure import asymptotics, cli, functionals
 
 
 def run_cli(argv):
@@ -502,6 +502,17 @@ def test_invariant_bridge_boolean():
     _, out, _ = run_cli(["invariant", "bridge", "--graph", "theta",
                          "--lengths", "1/3,1/3,1/3"])
     assert json.loads(out)["records"][0]["value"] == 0.0
+
+
+def test_invariant_refuses_a_functional_without_an_evaluator(monkeypatch, capsys):
+    # a registered functional once fell into the bridge branch: the theta
+    # graph's circumference (longest cycle, 4/5) printed as 0
+    monkeypatch.setitem(functionals.FUNCTIONALS, "circumference", functionals.SYSTOLE)
+    code, out, _ = run_cli(["invariant", "circumference", "--graph", "theta",
+                            "--lengths", "1/5,3/10,1/2", "--format", "text"])
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'circumference'" in capsys.readouterr().err
 
 
 NON_FINITE_ARGUMENTS = [

@@ -273,10 +273,9 @@ def _compositions(total: int, parts: int, lead: tuple = ()) -> np.ndarray:
 
 
 def _permuters(graph: TrivalentGraph) -> list[Callable]:
-    """One map per element of the edge action, taking a vector to its image
-    (entry i moves to perm[i])."""
-    return [itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
-            for perm in edge_action(graph)]
+    """The maps of the edge action's elements, each taking a vector to its
+    image under the inverse (entry perm[i] moves to i), itself an element."""
+    return [itemgetter(*perm) for perm in edge_action(graph)]
 
 
 def _composition_chunks(total: int, parts: int):
@@ -300,14 +299,14 @@ def _lattice_orbits(graph: TrivalentGraph, n_slices: int
     """(points, multiplicities) as int64 arrays: the lexicographically least
     point of each orbit, in lexicographic order, and each orbit's size.
 
-    Each permutation acts on all candidate rows of a chunk at once: the
-    image's column j is the chunk's column that moves to j, so rows are
-    compared with their images one contiguous column at a time (base-N
-    keys would pass 2^63 at rank 6).  A row with a lexicographically
-    smaller image is no orbit minimum and leaves the candidates.  The
-    permutations fixing a row form its stabiliser, and the orbit size is
-    |G| / |Stab|.  Both are per row, so chunks are filtered one at a time
-    and concatenated in order.
+    Each permutation's inverse, itself an element, acts on all candidate
+    rows of a chunk at once: the image's column j is the chunk's column
+    perm[j], so rows are compared with their images one contiguous column
+    at a time (base-N keys would pass 2^63 at rank 6).  A row with a
+    lexicographically smaller image is no orbit minimum and leaves the
+    candidates.  The permutations fixing a row form its stabiliser, and
+    the orbit size is |G| / |Stab|.  Both are per row, so chunks are
+    filtered one at a time and concatenated in order.
     """
     perms = edge_action(graph)
     points = [np.zeros((0, graph.num_edges), dtype=np.int64)]
@@ -318,8 +317,7 @@ def _lattice_orbits(graph: TrivalentGraph, n_slices: int
         for perm in perms:
             smaller = np.zeros(cols.shape[1], dtype=bool)
             equal = np.ones(cols.shape[1], dtype=bool)
-            # entry i moves to perm[i]
-            for j, src in enumerate(np.argsort(perm).tolist()):
+            for j, src in enumerate(perm):
                 if src != j:
                     smaller |= equal & (cols[src] < cols[j])
                     equal &= cols[src] == cols[j]

@@ -435,6 +435,16 @@ def test_triv_subgroup_and_edge_action_against_naive_search(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_edge_action_closed_under_inversion(k):
+    # measure applies each element's inverse, which runs over the same
+    # group only if every inverse is an element
+    for g in G.enumerate_trivalent(k):
+        action = set(G.edge_action(g))
+        for perm in action:
+            assert tuple(sorted(range(len(perm)), key=perm.__getitem__)) in action
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_min_code_ignores_edge_order(k):
     # candidate edge lists reach the search unsorted
     rng = random.Random(k)

@@ -184,15 +184,14 @@ def _cmd_pants_ortho(args):
     boundaries = _parse_float_list(args.boundaries)
     if len(boundaries) != 3:
         raise ValueError(f"need three boundary lengths, got {len(boundaries)}")
-    l1, l2, l3 = boundaries
-    boundary = invariants.PantsBoundary(l1, l2, l3)
+    boundary = invariants.PantsBoundary(*boundaries)
     if args.oracle:
         value = invariants.matrix_pants_oracle(boundary)
         method = "matrix-oracle"
     else:
         value = invariants.separating_orthogeodesic_length(boundary)
         method = "hexagon"
-    params = {"boundaries": [l1, l2, l3], "method": method}
+    params = {"boundaries": boundaries, "method": method}
     return params, [{"length": value}]
 
 

@@ -421,6 +421,8 @@ def _render_csv(records) -> str:
             val = rec.get(key, "")
             if isinstance(val, list):
                 val = ";".join(str(x) for x in val)
+                if "," in val:  # RFC 4180: quote it, doubling any quote inside
+                    val = '"' + val.replace('"', '""') + '"'
             row.append(str(val))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """CLI surface: JSON schema conformance, determinism, exit codes."""
 
+import csv
 import glob
 import hashlib
 import io
@@ -159,12 +160,12 @@ def test_sample_stdout_pinned_across_chunks(fmt, digest):
 STDOUT_SHA256 = {
     "graphs enumerate --rank 2": (
         "27714a2bfaa7eececfeb93e2c789f5022bfb067ab7a09585b9280ec6fd96fa1b",
-        "5570bffaa18dd6ed3ed9734efd6ccc2cdabe25aa7f2f751a33274c6ddaf74038",
+        "0ecabefc9eb97235bb48f127959ae9dbd41634ee6106f168d6933bb978cbd57e",
         "cc6c0d4f12eb25ff3513f2ca8d762d39929306992f11b8e0670d8959c95155a7",
     ),
     "graphs enumerate --rank 3": (
         "16783725c28bc165664659ea3b7a1f8c65a49c5af264e72402914c6de605aee2",
-        "fc1eed2fa02f02836e25a42b110b077fa07c91397c1c9a6853562311d4239271",
+        "d622e141b1619e53ce1820541df4ab4038037f53480c7621055f508f6e07d2a8",
         "e08039541619760ea8166d6ad03b8c277e26bb70b27af80604bd5e4a35efa8b9",
     ),
     "measure weights --rank 2": (
@@ -261,15 +262,39 @@ PINNED_COMMANDS = SMOKE_COMMANDS + [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=lambda a: " ".join(a))
-def test_stdout_pinned(argv, fmt, tmp_path, monkeypatch):
+@pytest.fixture
+def lengths_cwd(tmp_path, monkeypatch):
+    """A working directory holding the lengths.txt that ps sum reads."""
     (tmp_path / "lengths.txt").write_text("0.5\n1.25\n2.0\n3.5\n")
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=lambda a: " ".join(a))
+def test_stdout_pinned(argv, fmt, lengths_cwd):
     code, out, _ = run_cli(argv + ["--format", fmt])
     assert code == 0
     digest = STDOUT_SHA256[" ".join(argv)][("json", "csv", "text").index(fmt)]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def csv_cell(rec, key):
+    """What csv should read back for a json record's key: a list joined by
+    ';', a missing key empty."""
+    value = rec.get(key, "")
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("argv", PINNED_COMMANDS, ids=lambda a: " ".join(a))
+def test_csv_reads_back_as_the_json_records(argv, lengths_cwd):
+    # each edge [u, v] of graphs enumerate once split its row at the comma
+    records = json.loads(run_cli(argv)[1])["records"]
+    rows = list(csv.DictReader(io.StringIO(run_cli(argv + ["--format", "csv"])[1])))
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        # DictReader files extra fields under None and fills short rows with it
+        assert None not in row and None not in row.values()
+        assert row == {key: csv_cell(rec, key) for key in row}
 
 
 def test_sample_count_zero_prints_no_records():

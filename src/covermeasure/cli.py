@@ -156,14 +156,6 @@ def _cmd_sample(args):
     return {"rank": args.rank, "count": args.count}, records
 
 
-# `invariant`'s functionals: name -> exact value at (graph, lengths)
-_INVARIANTS = {
-    "systole": lambda graph, lengths: invariants.systole_from_lengths(graph.edges, lengths),
-    "minedge": lambda graph, lengths: min(lengths),
-    "bridge": lambda graph, lengths: Fraction(invariants.bridge_indicator(graph)),
-}
-
-
 def _cmd_invariant(args):
     graph = graphs.resolve_graph(args.graph)
     lengths = _parse_list(args.lengths, _fraction)
@@ -282,6 +274,13 @@ def _cmd_ps_converge(args):
     }
     return params, records
 
+
+# `invariant`'s functionals: name -> exact value at (graph, lengths)
+_INVARIANTS = {
+    "systole": lambda graph, lengths: invariants.systole_from_lengths(graph.edges, lengths),
+    "minedge": lambda graph, lengths: min(lengths),
+    "bridge": lambda graph, lengths: Fraction(invariants.bridge_indicator(graph)),
+}
 
 # command -> the text line of a record r, given the params p
 _TEXT = {

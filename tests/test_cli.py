@@ -294,6 +294,7 @@ def test_csv_reads_back_as_the_json_records(argv, lengths_cwd):
     for row, rec in zip(rows, records):
         # DictReader files extra fields under None and fills short rows with it
         assert None not in row and None not in row.values()
+        assert set(rec) <= set(row)
         assert row == {key: csv_cell(rec, key) for key in row}
 
 

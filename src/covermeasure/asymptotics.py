@@ -83,7 +83,12 @@ class CountingModel:
     @cached_property
     def c(self) -> float:
         k = self.rank
-        return float(self.sum_inv_aut) * self.c_prime / math.factorial(3 * k - 4)
+        # correctly rounded; a float (3k - 4)! overflows from k = 59
+        c = float(Fraction(float(self.sum_inv_aut) * self.c_prime) / math.factorial(3 * k - 4))
+        if c < sys.float_info.min:  # a subnormal c has lost digits, and 0 all of them
+            raise ValueError(f"the constant c at genus {self.genus}, rank {k} "
+                             "is below the normal float range")
+        return c
 
     @property
     def unit_tangent_volume(self) -> float:
@@ -203,7 +208,7 @@ def ps_model_closed_form(model: CountingModel, s: float) -> float:
             f"the series diverges for s = {s} <= 1 (critical exponent 1)"
         )
     m = 3 * model.rank - 3
-    numerator = s * model.c * math.factorial(m - 1)
+    numerator = float(Fraction(s * model.c) * math.factorial(m - 1))
     log_power = m * math.log(s - 1.0)
     if _LOG_TINY < log_power < _LOG_HUGE:
         value = numerator / (s - 1.0) ** m

@@ -316,95 +316,73 @@ _TEXT = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
+    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    rank, genus, graph = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    rank.add_argument("--rank", type=int, required=True)
+    genus.add_argument("--genus", type=int, required=True)
+    graph.add_argument("--graph", required=True)
 
     parser = argparse.ArgumentParser(
         prog="covermeasure",
         description="Limit measures on moduli spaces of metric graphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    group_help = {"graphs": "graph enumeration", "measure": "limit measure and lattices",
+                  "pants": "hyperbolic pants geometry", "count": "asymptotic counting models",
+                  "ps": "exponent-weighted series"}
 
-    p_graphs = sub.add_parser("graphs", help="graph enumeration")
-    gsub = p_graphs.add_subparsers(dest="subcommand", required=True)
-    p = gsub.add_parser("enumerate", parents=[common])
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(handler=_cmd_graphs_enumerate)
+    def command(path, handler, *parents, **kwargs):
+        """Add the leaf command at ``path``, "group.leaf" or "leaf"; return its parser."""
+        group, _, leaf = path.rpartition(".")
+        if group not in groups:  # a group's first leaf adds the group
+            groups[group] = groups[""].add_parser(group, help=group_help[group]).add_subparsers(
+                dest="subcommand", required=True)
+        p = groups[group].add_parser(leaf, parents=[common, *parents], **kwargs)
+        p.set_defaults(path=path, handler=handler)
+        return p
 
-    p_measure = sub.add_parser("measure", help="limit measure and lattices")
-    msub = p_measure.add_subparsers(dest="subcommand", required=True)
-    p = msub.add_parser("weights", parents=[common])
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(handler=_cmd_measure_weights)
-    p = msub.add_parser("lattice", parents=[common])
-    p.add_argument("--graph", required=True)
+    command("graphs.enumerate", _cmd_graphs_enumerate, rank)
+    command("measure.weights", _cmd_measure_weights, rank)
+    p = command("measure.lattice", _cmd_measure_lattice, graph)
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(handler=_cmd_measure_lattice)
 
-    p = sub.add_parser("expect", parents=[common],
-                       help="expectation of a functional")
-    p.add_argument("--rank", type=int, required=True)
+    p = command("expect", _cmd_expect, rank, help="expectation of a functional")
     p.add_argument("--functional", required=True,
                    choices=sorted(functionals.FUNCTIONALS))
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_expect)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw metric graphs from the limit measure")
-    p.add_argument("--rank", type=int, required=True)
+    p = command("sample", _cmd_sample, rank, help="draw metric graphs from the limit measure")
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("invariant", parents=[common],
-                       help="evaluate a functional at one point")
-    p.add_argument("functional", choices=sorted(_INVARIANTS))
-    p.add_argument("--graph", required=True)
+    functional = argparse.ArgumentParser(add_help=False)  # usage errors list it before --graph
+    functional.add_argument("functional", choices=sorted(_INVARIANTS))
+    p = command("invariant", _cmd_invariant, functional, graph,
+                help="evaluate a functional at one point")
     p.add_argument("--lengths", required=True)
-    p.set_defaults(handler=_cmd_invariant)
 
-    p_pants = sub.add_parser("pants", help="hyperbolic pants geometry")
-    psub = p_pants.add_subparsers(dest="subcommand", required=True)
-    p = psub.add_parser("ortho", parents=[common])
+    p = command("pants.ortho", _cmd_pants_ortho)
     p.add_argument("--boundaries", required=True)
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(handler=_cmd_pants_ortho)
 
-    p_count = sub.add_parser("count", help="asymptotic counting models")
-    csub = p_count.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("subgroups", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p = command("count.subgroups", _cmd_count_subgroups, genus, rank)
     p.add_argument("--L", type=_finite_float, required=True)
     p.add_argument("--precision", choices=("double", "high"), default="double")
-    p.set_defaults(handler=_cmd_count_subgroups)
-    p = csub.add_parser("crit", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p = command("count.crit", _cmd_count_crit, graph, genus)
     p.add_argument("--L", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_count_crit)
 
-    p_ps = sub.add_parser("ps", help="exponent-weighted series")
-    pssub = p_ps.add_subparsers(dest="subcommand", required=True)
-    p = pssub.add_parser("sum", parents=[common])
+    p = command("ps.sum", _cmd_ps_sum)
     p.add_argument("--lengths-file", required=True)
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--L", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_ps_sum)
-    p = pssub.add_parser("model", parents=[common])
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p = command("ps.model", _cmd_ps_model, genus, rank)
     p.add_argument("--s", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_ps_model)
-    p = pssub.add_parser("converge", parents=[common])
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p = command("ps.converge", _cmd_ps_converge, rank, genus)
     p.add_argument("--Lmax", type=_finite_float, required=True)
     p.add_argument("--s-list", required=True)
     p.add_argument("--mode", choices=asymptotics.ENSEMBLE_MODES,
                    default="lattice-marker")
     p.add_argument("--cap", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_ps_converge)
 
     return parser
 
@@ -443,10 +421,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         params, records = args.handler(args)
         params.setdefault("seed", args.seed)
-        command = ".".join(filter(None, (args.command, getattr(args, "subcommand", None))))
         if args.format == "json":
             envelope = {
-                "command": command,
+                "command": args.path,
                 "format_version": FORMAT_VERSION,
                 "params": params,
                 "records": records,
@@ -456,7 +433,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         elif args.format == "csv":
             text = _render_csv(records)
         else:
-            text = "".join(f"{_TEXT[command](params, rec)}\n" for rec in records)
+            text = "".join(f"{_TEXT[args.path](params, rec)}\n" for rec in records)
     # every library error class is a ValueError; overflow is an ArithmeticError
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"covermeasure: error: {exc}", file=stderr)

@@ -272,12 +272,6 @@ def _compositions(total: int, parts: int, lead: tuple = ()) -> np.ndarray:
     return block.T
 
 
-def _permuters(graph: TrivalentGraph) -> list[Callable]:
-    """The maps of the edge action's elements, each taking a vector to its
-    image under the inverse (entry perm[i] moves to i), itself an element."""
-    return [itemgetter(*perm) for perm in edge_action(graph)]
-
-
 def _composition_chunks(total: int, parts: int):
     """The rows of ``_compositions(total, parts)`` in order, as blocks of at
     most _CHUNK_ROWS rows made by fixing leading parts, each written once
@@ -584,19 +578,6 @@ def _cell_integral(rep, forms, n: int, meter: _WorkMeter) -> Fraction:
     return total / n
 
 
-def _form_orbits(graph: TrivalentGraph, forms) -> list[list[tuple]]:
-    """The orbits of the forms' closure under the edge action."""
-    permuters = _permuters(graph)
-    seen: set[tuple] = set()
-    orbits = []
-    for form in dict.fromkeys(forms):
-        if form not in seen:
-            orbit = sorted({permute(form) for permute in permuters})
-            seen.update(orbit)
-            orbits.append(orbit)
-    return orbits
-
-
 def _invariant_forms(graph: TrivalentGraph, rows, meter: _WorkMeter):
     """The edge-action orbits that lie wholly among the integer rows of a
     functional's forms.
@@ -609,12 +590,18 @@ def _invariant_forms(graph: TrivalentGraph, rows, meter: _WorkMeter):
     orbits.  Otherwise SymmetryViolationError is raised.  A closed set
     builds no cells."""
     present = set(rows)
-    orbits = [orbit for orbit in _form_orbits(graph, rows) if present.issuperset(orbit)]
-    kept = {form for orbit in orbits for form in orbit}
-    if any(row not in kept
-           and _cell_rays(_cuts(row, rows), graph.num_edges, meter) is not None
-           for row in dict.fromkeys(rows)):
-        raise SymmetryViolationError("functional is not invariant under the edge action")
+    # each maps a vector to its image under the inverse of an element, itself an element
+    permuters = [itemgetter(*perm) for perm in edge_action(graph)]
+    orbits, kept = [], set()
+    for row in dict.fromkeys(rows):
+        if row in kept:
+            continue
+        orbit = sorted({permute(row) for permute in permuters})
+        if present.issuperset(orbit):
+            orbits.append(orbit)
+            kept.update(orbit)
+        elif _cell_rays(_cuts(row, rows), graph.num_edges, meter) is not None:
+            raise SymmetryViolationError("functional is not invariant under the edge action")
     return orbits
 
 

@@ -48,6 +48,14 @@ def test_model_constant_against_high_precision():
     assert abs(m.c - reference) / reference < 1e-12
 
 
+@pytest.mark.parametrize("rank", range(2, 60))
+def test_model_constant_against_high_precision_to_rank_59(rank):
+    # from rank 59, (3k - 4)! is past the float range
+    m = A.CountingModel(genus=2, rank=rank)
+    reference = float(m.c_high_precision())
+    assert abs(m.c - reference) <= 1e-12 * reference
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         A.CountingModel(genus=1, rank=2)

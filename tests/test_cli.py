@@ -1,5 +1,6 @@
 """CLI surface: JSON schema conformance, determinism, exit codes."""
 
+import argparse
 import csv
 import glob
 import hashlib
@@ -401,6 +402,34 @@ def test_text_and_csv_formats():
     rows = out.strip().splitlines()
     assert rows[0].startswith("graph_id,")
     assert len(rows) == 3
+
+
+def leaf_paths(parser, prefix=()):
+    """(dotted path, parser) of every leaf command below ``parser``."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield ".".join(prefix), parser
+    for action in groups:
+        for name, sub in action.choices.items():
+            yield from leaf_paths(sub, prefix + (name,))
+
+
+LEAVES = dict(leaf_paths(cli.build_parser()))
+
+
+def test_command_registries_agree():
+    # the parser tree, the text renderers and the schema name the same commands
+    assert len(LEAVES) == 12
+    assert set(LEAVES) == set(cli._TEXT) == set(SCHEMA["properties"]["command"]["enum"])
+    # and each leaf declares the path it sits at, which the envelope prints
+    assert all(leaf.get_default("path") == path for path, leaf in LEAVES.items())
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES))
+def test_every_leaf_command_has_help(path, capsys):
+    argv = path.split(".")
+    assert run_cli([*argv, "--help"])[0] == 0
+    assert capsys.readouterr().out.startswith(f"usage: covermeasure {' '.join(argv)}")
 
 
 def test_usage_errors_exit_2():

@@ -2,6 +2,7 @@
 numpy integers but not bool or floats, with errors that name the value."""
 
 import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -192,6 +193,34 @@ def test_ps_model_in_float_range_is_taken_in_logs_past_the_power_range():
     assert abs(got - want) <= 1e-12 * want
     # far above 1 the power overflows and the value is below every float
     assert A.ps_model_closed_form(model, 1e30) == 0.0
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["count", "subgroups", "--genus", "2", "--rank", "59", "--L", "20"], "count",
+     lambda c: c * mpmath.mpf(20) ** 173 * mpmath.exp(20)),
+    (["ps", "model", "--genus", "2", "--rank", "59", "--s", "1.5"], "value",
+     lambda c: mpmath.mpf(1.5) * c * mpmath.factorial(173) / mpmath.mpf(0.5) ** 174),
+], ids=["count subgroups", "ps model"])
+def test_rank_59_counting_constant_past_the_float_factorial(argv, key, want):
+    # 173! is past the float range, yet c = 1.1e-307 and both values are floats
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    got = json.loads(out)["records"][0][key]
+    with mpmath.workdps(50):
+        reference = want(A.CountingModel(genus=2, rank=59).c_high_precision())
+    assert abs(got - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("genus, rank", [(2, 60), (2, 62), (10**9, 40)])
+def test_counting_constant_below_the_normal_range_raises(genus, rank):
+    # a subnormal c keeps too few digits and 0 none: refused, not printed
+    message = f"genus {genus}, rank {rank} is below the normal float range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        A.CountingModel(genus=genus, rank=rank).c
+    code, out, err = run_cli(["count", "subgroups", "--genus", str(genus),
+                              "--rank", str(rank), "--L", "20"])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("name, lengths", [("l1", (2000.0, 1.0, 1.0)),

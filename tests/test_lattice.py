@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ def _positive_compositions(total, parts):
 
 def _set_orbit_points(graph, n_slices):
     """Orbit minima and sizes by building each orbit as a set."""
-    permuters = M._permuters(graph)
+    permuters = [itemgetter(*perm) for perm in G.edge_action(graph)]
     seen, out = set(), []
     for point in _positive_compositions(n_slices, graph.num_edges):
         if point in seen:
